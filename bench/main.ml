@@ -796,7 +796,16 @@ let micro () =
   let t_cpu =
     Test.make ~name:"picorv32 model step" (Staged.stage (fun () -> ignore (Pld_riscv.Cpu.step cpu)))
   in
-  let tests = Test.make_grouped ~name:"substrates" [ t_mul; t_div; t_noc; t_cpu ] in
+  let rng = Pld_util.Rng.create 1 in
+  let t_rng_int =
+    Test.make ~name:"rng int" (Staged.stage (fun () -> ignore (Pld_util.Rng.int rng 1000)))
+  in
+  let t_rng_float =
+    Test.make ~name:"rng float" (Staged.stage (fun () -> ignore (Pld_util.Rng.float rng 1.0)))
+  in
+  let tests =
+    Test.make_grouped ~name:"substrates" [ t_mul; t_div; t_noc; t_cpu; t_rng_int; t_rng_float ]
+  in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in

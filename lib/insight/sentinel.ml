@@ -73,11 +73,24 @@ let measure_entry opts (b : Suite.bench) level =
     [ ("wall_seconds", Baseline.stats_of (tool_samples (fun r -> r.B.wall_seconds))) ]
   in
   let first = List.hd reports in
+  (* Placement and routing are deterministic given their seed, so
+     their counters are exact: any drift means the P&R output moved. *)
+  let pnr_results =
+    let app = List.hd apps in
+    List.filter_map
+      (function _, B.Hw_page (h : Flow.o1_operator) -> Some h.Flow.pnr | _, B.Soft_page _ -> None)
+      app.B.operators
+    @ Option.to_list (Option.map (fun (m : Flow.o3_app) -> m.Flow.pnr3) app.B.monolithic)
+  in
+  let pnr_sum f = float_of_int (List.fold_left (fun acc r -> acc + f r) 0 pnr_results) in
   let exact =
     [
       ("cache_hits", float_of_int first.B.cache_hits);
       ("recompiled", float_of_int first.B.recompiled);
       ("overhead_seconds", first.B.phases.Flow.overhead);
+      ("place_wirelength", pnr_sum (fun r -> r.Pld_pnr.Pnr.place.Pld_pnr.Place.wirelength));
+      ("place_moves", pnr_sum (fun r -> r.Pld_pnr.Pnr.place.Pld_pnr.Place.moves_evaluated));
+      ("route_total_wire", pnr_sum (fun r -> r.Pld_pnr.Pnr.route.Pld_pnr.Route.total_wire));
     ]
     @
     if not opts.run_perf then []

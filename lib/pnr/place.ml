@@ -49,7 +49,15 @@ let intrinsic_overfill ~device ~region (nl : N.t) =
 (* [refine = Some (start, frozen)] seeds the anneal from a previous
    placement: cells with a start tile begin there, frozen ones never
    move, and the schedule drops to a short low-temperature pass sized
-   to the movable subset — the delta-P&R placement reuse. *)
+   to the movable subset — the delta-P&R placement reuse.
+
+   The move loop allocates nothing and recomputes only what a move
+   changed: each net's HPWL and each tile's weighted overfill are
+   cached, and both caches are updated only when a move is accepted,
+   so between moves they always equal a fresh computation. Results at
+   a fixed seed are a contract across commits: the RNG draw order, the
+   float expression order of [delta] and the short-circuited
+   [Rng.float] draw must not change. *)
 let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
   let t_start = Unix.gettimeofday () in
   if not (fits_region device region nl) then
@@ -57,25 +65,26 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
       (Printf.sprintf "Place.run: %s does not fit region (%s needed)" nl.N.nl_name
          (Format.asprintf "%a" N.pp_res (N.total_res nl)));
   let rng = Rng.create seed in
-  let w = region.Floorplan.x1 - region.Floorplan.x0 + 1 in
-  let h = region.Floorplan.y1 - region.Floorplan.y0 + 1 in
+  let { Floorplan.x0 = rx0; y0 = ry0; x1 = rx1; y1 = ry1 } = region in
+  let w = rx1 - rx0 + 1 in
+  let h = ry1 - ry0 + 1 in
   let ntiles = w * h in
-  let tile_xy i = (region.Floorplan.x0 + (i mod w), region.Floorplan.y0 + (i / w)) in
-  let cap = Array.init ntiles (fun i ->
-      let x, y = tile_xy i in
-      Device.tile_capacity (Device.kind_at device x y))
-  in
+  let tile_of x y = ((y - ry0) * w) + (x - rx0) in
+  let tx = Array.init ntiles (fun i -> rx0 + (i mod w)) in
+  let ty = Array.init ntiles (fun i -> ry0 + (i / w)) in
+  let cap = Array.init ntiles (fun i -> Device.tile_capacity (Device.kind_at device tx.(i) ty.(i))) in
   let ncells = Array.length nl.N.cells in
   let pos = Array.make ncells 0 in
   (* Occupancy per tile, by resource. *)
   let occ_l = Array.make ntiles 0 and occ_f = Array.make ntiles 0 in
   let occ_b = Array.make ntiles 0 and occ_d = Array.make ntiles 0 in
-  let tile_over i =
+  let over_by occ c = if occ > c then occ - c else 0 in
+  let[@inline] tile_over i =
     let c = cap.(i) in
-    (w_lut *. float_of_int (max 0 (occ_l.(i) - c.N.luts)))
-    +. (w_ff *. float_of_int (max 0 (occ_f.(i) - c.N.ffs)))
-    +. (w_bram *. float_of_int (max 0 (occ_b.(i) - c.N.brams)))
-    +. (w_dsp *. float_of_int (max 0 (occ_d.(i) - c.N.dsps)))
+    (w_lut *. float_of_int (over_by occ_l.(i) c.N.luts))
+    +. (w_ff *. float_of_int (over_by occ_f.(i) c.N.ffs))
+    +. (w_bram *. float_of_int (over_by occ_b.(i) c.N.brams))
+    +. (w_dsp *. float_of_int (over_by occ_d.(i) c.N.dsps))
   in
   let add_cell i cell_res sign =
     occ_l.(i) <- occ_l.(i) + (sign * cell_res.N.luts);
@@ -88,13 +97,24 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
   let pin_tile name =
     match List.assoc_opt name pins with
     | Some (x, y) ->
-        if
-          x < region.Floorplan.x0 || x > region.Floorplan.x1 || y < region.Floorplan.y0
-          || y > region.Floorplan.y1
-        then invalid_arg (Printf.sprintf "Place.run: pin %s at (%d,%d) outside region" name x y);
-        Some (((y - region.Floorplan.y0) * w) + (x - region.Floorplan.x0))
+        if x < rx0 || x > rx1 || y < ry0 || y > ry1 then
+          invalid_arg (Printf.sprintf "Place.run: pin %s at (%d,%d) outside region" name x y);
+        Some (tile_of x y)
     | None -> None
   in
+  (* Tiles that can host a hard-block cell, per (wants BRAM, wants
+     DSP) class. The initial scatter indexes these with a seeded draw,
+     so their descending tile order is part of the fixed-seed
+     contract. *)
+  let hard_tiles want_bram want_dsp =
+    let l = ref [] in
+    for i = 0 to ntiles - 1 do
+      if (want_bram && cap.(i).N.brams > 0) || (want_dsp && cap.(i).N.dsps > 0) then l := i :: !l
+    done;
+    Array.of_list !l
+  in
+  let bram_tiles = lazy (hard_tiles true false) and dsp_tiles = lazy (hard_tiles false true) in
+  let bram_dsp_tiles = lazy (hard_tiles true true) in
   (* Initial placement: pins fixed, everything else scattered near good
      tiles for its resource class. *)
   Array.iteri
@@ -109,10 +129,8 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
           match refine with
           | Some (start, frozen) -> (
               match start.(cid) with
-              | Some (x, y)
-                when x >= region.Floorplan.x0 && x <= region.Floorplan.x1
-                     && y >= region.Floorplan.y0 && y <= region.Floorplan.y1 ->
-                  let t = ((y - region.Floorplan.y0) * w) + (x - region.Floorplan.x0) in
+              | Some (x, y) when x >= rx0 && x <= rx1 && y >= ry0 && y <= ry1 ->
+                  let t = tile_of x y in
                   if frozen.(cid) then begin
                     fixed.(cid) <- true;
                     Some t
@@ -137,38 +155,41 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
         | None -> (
             match seeded with
             | Some t -> t
-            | None ->
+            | None -> (
                 (* Bias hard blocks toward tiles that can host them. *)
-                let want_bram = c.res.N.brams > 0 and want_dsp = c.res.N.dsps > 0 in
-                let candidates = ref [] in
-                for i = 0 to ntiles - 1 do
-                  if (want_bram && cap.(i).N.brams > 0) || (want_dsp && cap.(i).N.dsps > 0) then
-                    candidates := i :: !candidates
-                done;
-                begin
-                  match !candidates with
-                  | [] -> Rng.int rng ntiles
-                  | l -> List.nth l (Rng.int rng (List.length l))
-                end)
+                let candidates =
+                  match (c.res.N.brams > 0, c.res.N.dsps > 0) with
+                  | true, false -> Lazy.force bram_tiles
+                  | false, true -> Lazy.force dsp_tiles
+                  | true, true -> Lazy.force bram_dsp_tiles
+                  | false, false -> [||]
+                in
+                match Array.length candidates with
+                | 0 -> Rng.int rng ntiles
+                | n -> candidates.(Rng.int rng n)))
       in
       pos.(cid) <- tile;
       add_cell tile c.res 1)
     nl.N.cells;
-  (* Net bounding boxes. *)
+  (* Net bounding boxes. A cell listed twice on a net lists the net
+     twice in [cell_nets], and a move counts it twice. *)
   let nets = Array.map (fun (n : N.net) -> Array.of_list (n.driver :: n.sinks)) nl.N.nets in
-  let cell_nets = Array.make ncells [] in
-  Array.iteri (fun ni members -> Array.iter (fun c -> cell_nets.(c) <- ni :: cell_nets.(c)) members) nets;
+  let cell_nets =
+    let acc = Array.make ncells [] in
+    Array.iteri (fun ni members -> Array.iter (fun c -> acc.(c) <- ni :: acc.(c)) members) nets;
+    Array.map Array.of_list acc
+  in
   let hpwl ni =
     let members = nets.(ni) in
     let x0 = ref max_int and x1 = ref min_int and y0 = ref max_int and y1 = ref min_int in
-    Array.iter
-      (fun c ->
-        let x, y = tile_xy pos.(c) in
-        if x < !x0 then x0 := x;
-        if x > !x1 then x1 := x;
-        if y < !y0 then y0 := y;
-        if y > !y1 then y1 := y)
-      members;
+    for k = 0 to Array.length members - 1 do
+      let t = pos.(members.(k)) in
+      let x = tx.(t) and y = ty.(t) in
+      if x < !x0 then x0 := x;
+      if x > !x1 then x1 := x;
+      if y < !y0 then y0 := y;
+      if y > !y1 then y1 := y
+    done;
     !x1 - !x0 + (!y1 - !y0)
   in
   let total_wl () =
@@ -183,67 +204,31 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
     done;
     !acc
   in
+  (* The move loop's caches, and scratch for a move's new net HPWLs. *)
+  let net_wl = Array.init (Array.length nets) hpwl in
+  let tover = Array.init ntiles tile_over in
+  let wl_new = Array.make (Array.fold_left (fun m a -> max m (Array.length a)) 0 cell_nets) 0 in
   let cong_weight = ref 1.0 in
-  let wl = ref (float_of_int (total_wl ())) in
-  let over = ref (total_over ()) in
   let moves = ref 0 in
-  let movable = Array.to_list (Array.mapi (fun i f -> (i, f)) fixed)
-                |> List.filter (fun (_, f) -> not f) |> List.map fst |> Array.of_list in
-  let nmov = Array.length movable in
-  let attempt_move temp range =
-    if nmov = 0 then ()
-    else begin
-      incr moves;
-      let cid = movable.(Rng.int rng nmov) in
-      let cur = pos.(cid) in
-      let cx, cy = tile_xy cur in
-      (* Range-limited target tile. *)
-      let nx = max region.Floorplan.x0 (min region.Floorplan.x1 (cx + Rng.int_in rng (-range) range)) in
-      let ny = max region.Floorplan.y0 (min region.Floorplan.y1 (cy + Rng.int_in rng (-range) range)) in
-      let tgt = ((ny - region.Floorplan.y0) * w) + (nx - region.Floorplan.x0) in
-      if tgt <> cur then begin
-        let res = nl.N.cells.(cid).res in
-        (* Delta of overfill on the two affected tiles. *)
-        let before = tile_over cur +. tile_over tgt in
-        add_cell cur res (-1);
-        add_cell tgt res 1;
-        let after = tile_over cur +. tile_over tgt in
-        (* Delta of wirelength on affected nets. *)
-        let nets_touched = cell_nets.(cid) in
-        let wl_before = List.fold_left (fun acc ni -> acc + hpwl ni) 0 nets_touched in
-        pos.(cid) <- tgt;
-        let wl_after = List.fold_left (fun acc ni -> acc + hpwl ni) 0 nets_touched in
-        let delta =
-          float_of_int (wl_after - wl_before) +. (!cong_weight *. (after -. before))
-        in
-        let accept = delta < 0.0 || Rng.float rng 1.0 < exp (-.delta /. temp) in
-        if accept then begin
-          wl := !wl +. float_of_int (wl_after - wl_before);
-          over := !over +. (after -. before)
-        end
-        else begin
-          (* Revert. *)
-          add_cell tgt res (-1);
-          add_cell cur res 1;
-          pos.(cid) <- cur
-        end
-      end
-    end
+  let movable =
+    Array.of_list (List.filter (fun c -> not fixed.(c)) (List.init ncells Fun.id))
   in
+  let nmov = Array.length movable in
   (* Annealing schedule: a full sweep from a hot start, or — when
      seeded from a previous placement — a short low-temperature pass
      sized to the movable subset. *)
+  let wl0 = float_of_int (Array.fold_left ( + ) 0 net_wl) in
   let t0_temp, cool, max_temps, range0, moves_per_temp =
     match refine with
     | None ->
-        ( max 1.0 (!wl /. float_of_int (max 1 ncells)) *. 20.0,
+        ( max 1.0 (wl0 /. float_of_int (max 1 ncells)) *. 20.0,
           0.88,
           90,
           max w h,
           max 32 (int_of_float (effort *. 8.0 *. (float_of_int ncells ** 1.33))) )
     | Some _ ->
         cong_weight := 8.0;
-        ( max 0.5 (!wl /. float_of_int (max 1 ncells) *. 1.5),
+        ( max 0.5 (wl0 /. float_of_int (max 1 ncells) *. 1.5),
           0.80,
           30,
           max 2 (max w h / 4),
@@ -252,10 +237,57 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
   let temp = ref t0_temp in
   let range = ref range0 in
   let temps = ref 0 in
+  let clamp lo hi v = if v < lo then lo else if v > hi then hi else v in
+  let attempt_move radius =
+    incr moves;
+    let cid = movable.(Rng.int rng nmov) in
+    let cur = pos.(cid) in
+    (* Range-limited target tile. *)
+    let nx = clamp rx0 rx1 (tx.(cur) + Rng.int_in rng (-radius) radius) in
+    let ny = clamp ry0 ry1 (ty.(cur) + Rng.int_in rng (-radius) radius) in
+    let tgt = tile_of nx ny in
+    if tgt <> cur then begin
+      let res = nl.N.cells.(cid).res in
+      (* Delta of overfill on the two affected tiles. *)
+      let before = tover.(cur) +. tover.(tgt) in
+      add_cell cur res (-1);
+      add_cell tgt res 1;
+      let over_cur = tile_over cur and over_tgt = tile_over tgt in
+      let after = over_cur +. over_tgt in
+      (* Delta of wirelength on affected nets. *)
+      let nets_touched = cell_nets.(cid) in
+      pos.(cid) <- tgt;
+      let wl_before = ref 0 and wl_after = ref 0 in
+      for k = 0 to Array.length nets_touched - 1 do
+        let ni = nets_touched.(k) in
+        let l = hpwl ni in
+        wl_new.(k) <- l;
+        wl_before := !wl_before + net_wl.(ni);
+        wl_after := !wl_after + l
+      done;
+      let delta =
+        float_of_int (!wl_after - !wl_before) +. (!cong_weight *. (after -. before))
+      in
+      let accept = delta < 0.0 || Rng.float rng 1.0 < exp (-.delta /. !temp) in
+      if accept then begin
+        tover.(cur) <- over_cur;
+        tover.(tgt) <- over_tgt;
+        for k = 0 to Array.length nets_touched - 1 do
+          net_wl.(nets_touched.(k)) <- wl_new.(k)
+        done
+      end
+      else begin
+        (* Revert. *)
+        add_cell tgt res (-1);
+        add_cell cur res 1;
+        pos.(cid) <- cur
+      end
+    end
+  in
   if nmov > 0 then begin
     while !temp > 0.01 && !temps < max_temps do
       for _ = 1 to moves_per_temp do
-        attempt_move !temp !range
+        attempt_move !range
       done;
       temp := !temp *. cool;
       cong_weight := Float.min 4096.0 (!cong_weight *. 1.25);
@@ -263,8 +295,9 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
       incr temps
     done;
     (* Greedy zero-temperature cleanup. *)
+    temp := 0.0001;
     for _ = 1 to moves_per_temp do
-      attempt_move 0.0001 2
+      attempt_move 2
     done
   end;
   (* Deterministic legalization: evict cells from overfilled tiles to
@@ -296,12 +329,10 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
           | cid :: _ ->
               let res = nl.N.cells.(cid).res in
               add_cell t res (-1);
-              let tx, ty = tile_xy t in
               let best = ref (-1) and best_d = ref max_int in
               for u = 0 to ntiles - 1 do
                 if u <> t && residual_fits u res then begin
-                  let ux, uy = tile_xy u in
-                  let d = abs (ux - tx) + abs (uy - ty) in
+                  let d = abs (tx.(u) - tx.(t)) + abs (ty.(u) - ty.(t)) in
                   if d < !best_d then begin
                     best_d := d;
                     best := u
@@ -321,11 +352,8 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
       fix ()
     done
   done;
-  wl := float_of_int (total_wl ());
-  over := total_over ();
-  let positions = Array.map tile_xy pos in
   {
-    positions;
+    positions = Array.map (fun t -> (tx.(t), ty.(t))) pos;
     wirelength = total_wl ();
     overfill = total_over ();
     moves_evaluated = !moves;

@@ -18,13 +18,38 @@ type result = {
 
 type reuse = { prev : result; keep : (int * int) list }
 
+(* Dijkstra's buffers, allocated once per routing run. Between
+   searches every [dist] is infinity and every [back] is -1: a search
+   records each node it reaches in [touched] and resets only those. *)
+type search = {
+  dist : float array;
+  back : int array;
+  touched : int array;
+  mutable ntouched : int;
+  pq : int Pq.t;
+}
+
+let search_create nodes =
+  {
+    dist = Array.make nodes infinity;
+    back = Array.make nodes (-1);
+    touched = Array.make nodes 0;
+    ntouched = 0;
+    pq = Pq.create ();
+  }
+
 (* Dijkstra from a source node to one sink with congestion-aware edge
    costs; returns the edge list (or [] if sink = source). *)
-let shortest rrg cost src dst =
-  let dist = Array.make rrg.Rrg.nodes infinity in
-  let back = Array.make rrg.Rrg.nodes (-1) in
-  let pq = Pq.create () in
-  dist.(src) <- 0.0;
+let shortest s rrg cost src dst =
+  let dist = s.dist and back = s.back and pq = s.pq in
+  let reach v d =
+    if dist.(v) = infinity then begin
+      s.touched.(s.ntouched) <- v;
+      s.ntouched <- s.ntouched + 1
+    end;
+    dist.(v) <- d
+  in
+  reach src 0.0;
   Pq.push pq 0.0 src;
   let finished = ref false in
   while not (!finished || Pq.is_empty pq) do
@@ -38,23 +63,33 @@ let shortest rrg cost src dst =
               let e = rrg.Rrg.edges.(ei) in
               let nd = d +. cost ei in
               if nd < dist.(e.Rrg.dst) then begin
-                dist.(e.Rrg.dst) <- nd;
+                reach e.Rrg.dst nd;
                 back.(e.Rrg.dst) <- ei;
                 Pq.push pq nd e.Rrg.dst
               end)
             rrg.Rrg.out_edges.(u)
   done;
-  if dist.(dst) = infinity then None
-  else begin
-    let rec walk node acc =
-      if node = src then acc
-      else begin
-        let ei = back.(node) in
-        walk rrg.Rrg.edges.(ei).Rrg.src (ei :: acc)
-      end
-    in
-    Some (walk dst [])
-  end
+  let path =
+    if dist.(dst) = infinity then None
+    else begin
+      let rec walk node acc =
+        if node = src then acc
+        else begin
+          let ei = back.(node) in
+          walk rrg.Rrg.edges.(ei).Rrg.src (ei :: acc)
+        end
+      in
+      Some (walk dst [])
+    end
+  in
+  for k = 0 to s.ntouched - 1 do
+    let v = s.touched.(k) in
+    dist.(v) <- infinity;
+    back.(v) <- -1
+  done;
+  s.ntouched <- 0;
+  Pq.clear pq;
+  path
 
 let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl : N.t) =
   ignore seed;
@@ -103,6 +138,7 @@ let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl
         d
   in
   let nets_routed = ref 0 in
+  let search = search_create rrg.Rrg.nodes in
   let route_net ni =
     incr nets_routed;
     let n = nl.N.nets.(ni) in
@@ -117,7 +153,7 @@ let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl
           let dst = node_of_cell sink in
           if dst = src then []
           else
-            match shortest rrg cost src dst with
+            match shortest search rrg cost src dst with
             | Some path ->
                 let d = List.fold_left (fun acc ei -> acc +. rrg.Rrg.edges.(ei).Rrg.delay_ns) 0.0 path in
                 if d > sink_delay.(ni) then sink_delay.(ni) <- d;

@@ -358,9 +358,12 @@ let test_sentinel_levels () =
 (* The whole sentinel loop in miniature: measure, save, check clean
    (must pass), perturb one phase (must fail, naming it). *)
 let test_sentinel_save_check_perturb () =
+  (* optical's -O1 P&R takes over 0.1 s, so a 3x slowdown clears the
+     gate's 0.05 s absolute noise floor; spam's takes under 0.02 s,
+     where the floor hides even a 3x change. *)
   let opts =
     {
-      Sentinel.benches = [ "spam" ];
+      Sentinel.benches = [ "optical" ];
       levels = [ B.O1 ];
       repeats = 2;
       pace = 0.0;
@@ -396,7 +399,7 @@ let test_sentinel_save_check_perturb () =
       check_bool "the finding names bench, level and phase" true
         (List.exists
            (fun f ->
-             f.Baseline.f_bench = "spam" && f.Baseline.f_level = "-O1"
+             f.Baseline.f_bench = "optical" && f.Baseline.f_level = "-O1"
              && f.Baseline.f_metric = "pnr_seconds")
            v.Baseline.regressions);
       let doc = Json.of_string (In_channel.with_open_bin out In_channel.input_all) in

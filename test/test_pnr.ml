@@ -282,6 +282,99 @@ let test_run_multi_matches_single () =
         (r.Pld_pnr.Place.positions = solo.Pld_pnr.Place.positions))
     results
 
+(* ---------- P&R output pinned across commits ---------- *)
+
+(* A seeded netlist with stream pins, BRAM and DSP cells and multi-sink
+   nets: every path of the placer's move loop, the hard-block initial
+   scatter and the router is exercised. *)
+let pin_netlist ?(edited = false) () =
+  let rng = Pld_util.Rng.create 23 in
+  let b = N.Builder.create "pin" in
+  let port_in = N.Builder.add_cell b ~name:"pin" ~kind:(N.Stream_in "in") ~res:(N.res_luts 24) ~delay_ns:0.8 in
+  let port_out = N.Builder.add_cell b ~name:"pout" ~kind:(N.Stream_out "out") ~res:(N.res_luts 24) ~delay_ns:0.8 in
+  let cells =
+    List.init 36 (fun i ->
+        let luts = 6 + Pld_util.Rng.int rng 28 in
+        let kind, res =
+          if i mod 6 = 2 then (N.Mem, { (N.res_luts 4) with N.brams = 1 })
+          else if i mod 9 = 4 then (N.Mul, { (N.res_luts 8) with N.dsps = 1 })
+          else (N.Arith, { (N.res_luts luts) with N.ffs = luts })
+        in
+        (* The edit grows one LUT cell into a BRAM user: it changes
+           resource class, so its old tile cannot seed it. *)
+        let res = if edited && i = 3 then { res with N.brams = 1 } else res in
+        N.Builder.add_cell b ~name:(Printf.sprintf "c%d" i) ~kind ~res ~delay_ns:1.0)
+  in
+  let all = Array.of_list ((port_in :: cells) @ [ port_out ]) in
+  let n = Array.length all in
+  Array.iteri
+    (fun i c -> if i > 0 then ignore (N.Builder.add_net b ~name:(Printf.sprintf "n%d" i) ~driver:all.(i - 1) ~sinks:[ c ]))
+    all;
+  for k = 0 to 11 do
+    let d = all.(Pld_util.Rng.int rng n) in
+    let s1 = all.(Pld_util.Rng.int rng n) and s2 = all.(Pld_util.Rng.int rng n) in
+    (* The edit also rewires one fanout net, releasing its cells. *)
+    let s2 = if edited && k = 0 then all.((s2 + 5) mod n) else s2 in
+    ignore (N.Builder.add_net b ~name:(Printf.sprintf "r%d" k) ~driver:d ~sinks:(List.sort_uniq compare [ s1; s2 ]))
+  done;
+  N.Builder.finish b
+
+(* A digest over printed integers: positions, wirelength, overfill's
+   bit pattern and the move count, then every route's edges. *)
+let pnr_digest ?place ?route () =
+  let b = Buffer.create 4096 in
+  Option.iter
+    (fun (p : Pld_pnr.Place.result) ->
+      Array.iter (fun (x, y) -> Printf.bprintf b "%d,%d;" x y) p.Pld_pnr.Place.positions;
+      Printf.bprintf b "|wl %d|over %Ld|moves %d|" p.Pld_pnr.Place.wirelength
+        (Int64.bits_of_float p.Pld_pnr.Place.overfill) p.Pld_pnr.Place.moves_evaluated)
+    place;
+  Option.iter
+    (fun (r : Pld_pnr.Route.result) ->
+      Array.iter
+        (fun (rt : Pld_pnr.Route.route) ->
+          Printf.bprintf b "%d:" rt.Pld_pnr.Route.net_id;
+          List.iter (Printf.bprintf b "%d,") rt.Pld_pnr.Route.edges;
+          Buffer.add_char b ';')
+        r.Pld_pnr.Route.routes;
+      Printf.bprintf b "|iters %d|overused %d|wire %d|routed %d" r.Pld_pnr.Route.iterations
+        r.Pld_pnr.Route.overused_edges r.Pld_pnr.Route.total_wire r.Pld_pnr.Route.nets_routed)
+    route;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Placements at a fixed seed are a contract across commits: a faster
+   placer or router must reproduce these digests exactly. *)
+let test_pnr_output_pinned () =
+  let fp, region = page_region () in
+  let device = fp.Floorplan.device in
+  let leaf = (Floorplan.find_page fp 1).Floorplan.noc_leaf in
+  let pins = [ ("in", leaf); ("out", leaf) ] in
+  let nl = pin_netlist () and nl2 = pin_netlist ~edited:true () in
+  let place = Pld_pnr.Place.run ~seed:3 ~pins ~device ~region nl in
+  let route = Pld_pnr.Route.run ~device ~region ~placement:place.Pld_pnr.Place.positions nl in
+  let d = N.diff nl nl2 in
+  let previous = place.Pld_pnr.Place.positions in
+  let frozen = Pld_pnr.Place.refine ~seed:3 ~pins ~device ~region ~previous ~diff:d nl2 in
+  let thawed = Pld_pnr.Place.refine ~seed:3 ~pins ~freeze:false ~device ~region ~previous ~diff:d nl2 in
+  let keep =
+    List.filter
+      (fun (old_ni, new_ni) ->
+        let o = nl.N.nets.(old_ni) and n = nl2.N.nets.(new_ni) in
+        List.for_all2
+          (fun oc nc -> previous.(oc) = frozen.Pld_pnr.Place.positions.(nc))
+          (o.N.driver :: o.N.sinks) (n.N.driver :: n.N.sinks))
+      d.N.nets_kept
+  in
+  let rerouted =
+    Pld_pnr.Route.run ~reuse:{ Pld_pnr.Route.prev = route; keep } ~device ~region
+      ~placement:frozen.Pld_pnr.Place.positions nl2
+  in
+  let pinned = Alcotest.(check string) in
+  pinned "Place.run + Route.run" "1c79c11c33161660ae3d1dfa180917ca" (pnr_digest ~place ~route ());
+  pinned "Place.refine freeze:true" "140ff3a9c0a80616b653a8309d71aa29" (pnr_digest ~place:frozen ());
+  pinned "Place.refine freeze:false" "9f3261ff6118d90d7f661f4eaa75d1fb" (pnr_digest ~place:thawed ());
+  pinned "Route.run ~reuse" "f4b209bf44ca7a1da778cc7a0db5ef60" (pnr_digest ~route:rerouted ())
+
 let prop_sta_fmax_bounded =
   QCheck.Test.make ~name:"sta fmax within (0, clock target]" ~count:20
     QCheck.(pair (int_range 3 25) (int_range 0 1000))
@@ -316,4 +409,5 @@ let suite =
     ("delta P&R: one-cell edit stays on fast path", `Quick, test_delta_small_edit);
     ("multi-seed never times worse", `Slow, test_multi_seed_never_worse);
     ("run_multi matches single runs", `Quick, test_run_multi_matches_single);
+    ("P&R output pinned across commits", `Quick, test_pnr_output_pinned);
   ]

@@ -49,6 +49,41 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
 
+(* The first draws of [Rng.create 42], pinned: any change to the
+   stream, in any accessor, shows here, where [test_rng_determinism]
+   (two equal generators agree) would not notice. *)
+let test_rng_stream_pinned () =
+  let draws f = List.init 8 (fun _ -> f ()) in
+  let g () = Rng.create 42 in
+  let r = g () in
+  Alcotest.(check (list int64))
+    "bits64"
+    [
+      -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L;
+      701532786141963250L; -2430762948046562554L; 4028864712777624925L; -3677692746721775708L;
+    ]
+    (draws (fun () -> Rng.bits64 r));
+  let r = g () in
+  Alcotest.(check (list int))
+    "int 1000" [ 802; 145; 929; 882; 625; 627; 462; 50 ]
+    (draws (fun () -> Rng.int r 1000));
+  let r = g () in
+  Alcotest.(check (list (float 0.0)))
+    "float 1.0"
+    [
+      0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+      0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1;
+    ]
+    (draws (fun () -> Rng.float r 1.0));
+  let child = Rng.split (g ()) in
+  Alcotest.(check (list int64))
+    "split child"
+    [
+      6332618229526065668L; -816328817471504299L; 8971565426155258802L; 1242533817266198696L;
+      -5959852680200513735L; 1245346008178237623L; 3603600226484403572L; -4893543810735773810L;
+    ]
+    (draws (fun () -> Rng.bits64 child))
+
 let test_topo_simple () =
   let order = Topo.sort ~n:4 ~edges:[ (0, 1); (1, 2); (0, 3); (3, 2) ] in
   let pos = Array.make 4 0 in
@@ -228,6 +263,7 @@ let suite =
     ("rng split", `Quick, test_rng_split_independent);
     ("rng gaussian moments", `Quick, test_rng_gaussian);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
+    ("rng stream pinned", `Quick, test_rng_stream_pinned);
     ("topo simple", `Quick, test_topo_simple);
     ("topo cycle detection", `Quick, test_topo_cycle);
     ("topo is_dag", `Quick, test_topo_is_dag);
