@@ -12,7 +12,6 @@
 open Pld_rosetta
 module B = Pld_core.Build
 module R = Pld_core.Runner
-module Baseline = Pld_insight.Baseline
 module Sentinel = Pld_insight.Sentinel
 module Fp = Pld_fabric.Floorplan
 module N = Pld_netlist.Netlist
@@ -822,145 +821,6 @@ let micro () =
       | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
     report
 
-(* ---------- regression sentinel ---------- *)
-
-(* `bench regress` is a subcommand, not an experiment: it owns its exit
-   code (nonzero on regression) and its own flags, so it dispatches
-   before the experiment list. *)
-let regress_usage =
-  "usage: bench regress [--save] [--baseline FILE] [--benches a,b] [--levels O1,O3]\n\
-  \                     [--repeats N] [--pace F] [--jobs N] [--no-perf] [--no-service] [--no-chaos]\n\
-  \                     [--no-incremental]\n\
-  \                     [--perturb metric=factor[,metric=factor...]]\n\
-  \                     [--exact-only] [--skip-wall] [--out FILE]\n\n\
-   --save writes the measured snapshot to the baseline file and exits 0;\n\
-   otherwise the snapshot is compared against the baseline and the exit\n\
-   code is 1 on any regression. --perturb scales measured metrics (the\n\
-   gate's self-test); --exact-only ignores machine-dependent classes\n\
-   (checking against a baseline from different hardware); --skip-wall\n\
-   drops only the wall class. --out writes REGRESSION.json-style\n\
-   machine-readable findings.\n"
-
-let parse_perturb spec =
-  List.map
-    (fun part ->
-      match String.index_opt part '=' with
-      | Some i ->
-          let name = String.sub part 0 i in
-          let f = String.sub part (i + 1) (String.length part - i - 1) in
-          (match float_of_string_opt f with
-          | Some f -> (name, f)
-          | None -> failwith (Printf.sprintf "bad --perturb factor %S" part))
-      | None -> failwith (Printf.sprintf "bad --perturb entry %S (want metric=factor)" part))
-    (String.split_on_char ',' spec)
-
-let regress args =
-  let baseline_file = ref "baselines/rosetta.json" in
-  let save = ref false in
-  let out = ref None in
-  let exact_only = ref false in
-  let skip_wall = ref false in
-  let perturb = ref [] in
-  let opts = ref Sentinel.default_options in
-  let levels_of spec =
-    List.map
-      (fun s ->
-        match Sentinel.level_of_string s with
-        | Some l -> l
-        | None -> failwith (Printf.sprintf "unknown level %S" s))
-      (String.split_on_char ',' spec)
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--save" :: rest ->
-        save := true;
-        parse rest
-    | "--baseline" :: file :: rest ->
-        baseline_file := file;
-        parse rest
-    | "--benches" :: spec :: rest ->
-        opts := { !opts with Sentinel.benches = String.split_on_char ',' spec };
-        parse rest
-    | "--levels" :: spec :: rest ->
-        opts := { !opts with Sentinel.levels = levels_of spec };
-        parse rest
-    | "--repeats" :: n :: rest ->
-        opts := { !opts with Sentinel.repeats = int_of_string n };
-        parse rest
-    | "--pace" :: f :: rest ->
-        opts := { !opts with Sentinel.pace = float_of_string f };
-        parse rest
-    | "--jobs" :: n :: rest ->
-        opts := { !opts with Sentinel.jobs = int_of_string n };
-        parse rest
-    | "--no-perf" :: rest ->
-        opts := { !opts with Sentinel.run_perf = false };
-        parse rest
-    | "--no-service" :: rest ->
-        opts := { !opts with Sentinel.run_service = false };
-        parse rest
-    | "--no-chaos" :: rest ->
-        opts := { !opts with Sentinel.run_chaos = false };
-        parse rest
-    | "--no-incremental" :: rest ->
-        opts := { !opts with Sentinel.run_incremental = false };
-        parse rest
-    | "--perturb" :: spec :: rest ->
-        perturb := !perturb @ parse_perturb spec;
-        parse rest
-    | "--exact-only" :: rest ->
-        exact_only := true;
-        parse rest
-    | "--skip-wall" :: rest ->
-        skip_wall := true;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := Some file;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        print_string regress_usage;
-        exit 0
-    | arg :: _ ->
-        Printf.eprintf "regress: unknown argument %s\n%s" arg regress_usage;
-        exit 2
-  in
-  parse args;
-  Printf.printf "measuring %s at %s (%d repeats)...\n%!"
-    (String.concat "," !opts.Sentinel.benches)
-    (String.concat "," (List.map B.level_name !opts.Sentinel.levels))
-    !opts.Sentinel.repeats;
-  let current = Sentinel.measure !opts in
-  let current = if !perturb = [] then current else Sentinel.perturb !perturb current in
-  let current =
-    if not !skip_wall then current
-    else
-      {
-        current with
-        Baseline.entries =
-          List.map
-            (fun (e : Baseline.entry) -> { e with Baseline.wall = [] })
-            current.Baseline.entries;
-      }
-  in
-  if !save then begin
-    (match Filename.dirname !baseline_file with
-    | "" | "." -> ()
-    | dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-    Baseline.save ~file:!baseline_file current;
-    Printf.printf "saved baseline %s (%d entries)\n" !baseline_file
-      (List.length current.Baseline.entries);
-    exit 0
-  end;
-  if not (Sys.file_exists !baseline_file) then begin
-    Printf.eprintf "regress: no baseline at %s (record one with --save)\n" !baseline_file;
-    exit 2
-  end;
-  let verdict =
-    Sentinel.check ~base_file:!baseline_file ~exact_only:!exact_only ?out:!out current
-  in
-  print_string (Baseline.render_verdict verdict);
-  exit (if verdict.Baseline.ok then 0 else 1)
-
 (* ---------- compile-as-a-service traffic ---------- *)
 
 (* `bench service` replays a synthetic multi-tenant trace through an
@@ -1155,7 +1015,6 @@ let all_experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (match args with
-  | "regress" :: rest -> regress rest
   | "service" :: rest -> service rest
   | "chaos" :: rest -> chaos rest
   | _ -> ());

@@ -900,22 +900,50 @@ let baseline_check_cmd =
             "Compare only the deterministic (exact) metric class — for baselines recorded on \
              different hardware, where modeled tool seconds are not comparable.")
   in
+  let skip_wall_arg =
+    Arg.(
+      value & flag
+      & info [ "skip-wall" ]
+          ~doc:"Drop only the wall-clock class (the noisiest) from the comparison.")
+  in
+  let perturb_arg =
+    Arg.(
+      value
+      & opt_all (list (pair ~sep:'=' string float)) []
+      & info [ "perturb" ] ~docv:"METRIC=FACTOR,..."
+          ~doc:
+            "Scale the named measured metrics by their factors before comparing — the gate's \
+             self-test: a perturbed run must fail.")
+  in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write machine-readable findings (REGRESSION.json).")
   in
-  let run file opts exact_only out =
+  let run file opts exact_only skip_wall perturb out =
     if not (Sys.file_exists file) then
       die ~code:2 (Printf.sprintf "no baseline at %s (record one with `pldc baseline save`)" file);
-    let current = Sentinel.measure opts in
+    let current = Sentinel.perturb (List.concat perturb) (Sentinel.measure opts) in
+    let current =
+      if not skip_wall then current
+      else
+        {
+          current with
+          Baseline.entries =
+            List.map
+              (fun (e : Baseline.entry) -> { e with Baseline.wall = [] })
+              current.Baseline.entries;
+        }
+    in
     let verdict = Sentinel.check ~base_file:file ~exact_only ?out current in
     print_string (Baseline.render_verdict verdict);
     if not verdict.Baseline.ok then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ out_arg)
+    Term.(
+      const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ skip_wall_arg
+      $ perturb_arg $ out_arg)
 
 let baseline_cmd =
   let doc = "Record or enforce a performance baseline (the regression sentinel)." in

@@ -4,22 +4,19 @@ type 'a result = {
   artifacts : (string * 'a) list;
   quarantined : (string * string) list;
   wall_seconds : float;
-  events : Event.t list;
 }
 
 exception Job_timeout of string
+exception Deadline_passed
 
-(* Both the sequential and the parallel paths funnel every event
-   through one recorder so traces have a single emission order. *)
+(* What every node of one run records into. *)
 type recorder = {
-  rec_lock : Mutex.t;
-  mutable trace : Event.t list;
-  sink : Event.t -> unit;
   tele : Telemetry.t;
   run : string;  (** stamped on every span so one sink can hold many runs *)
   extra : (string * string) list;
       (** caller attributes (e.g. a request trace id) appended to every
           span and instant this run records *)
+  deadline : float option;
 }
 
 (* A process-wide run id distinguishes the spans of successive (or
@@ -28,74 +25,37 @@ type recorder = {
    guessing at time windows. *)
 let run_ids = Atomic.make 0
 
-let recorder ~tele ~extra sink =
-  {
-    rec_lock = Mutex.create ();
-    trace = [];
-    sink;
-    tele;
-    run = string_of_int (Atomic.fetch_and_add run_ids 1);
-    extra;
-  }
+let bump r name = Telemetry.incr (Telemetry.counter r.tele name)
 
-(* Mirror the structured event stream into the telemetry sink: one-off
-   moments become instant marks and registry counters; the modeled
-   per-phase breakdown of a finished job becomes a private modeled
-   track tiled with one span per phase. (The measured wall-clock job
-   spans come from [with_span] in {!run_node}, not from here.) *)
-let telemetry_of_event tele ~run ~extra e =
-  let bump name = Telemetry.incr (Telemetry.counter tele name) in
-  match e with
-  | Event.Graph_start _ | Event.Graph_finish _ | Event.Job_start _ -> ()
-  | Event.Job_finish { job; kind; phases; _ } ->
-      bump "engine.jobs_finished";
-      if phases <> [] then begin
-        let mt = Telemetry.modeled_track tele ~cat:"flow" ~name:job in
-        List.iter
-          (fun (phase, seconds) ->
-            Telemetry.modeled_span tele mt
-              ~attrs:([ ("job", job); ("kind", kind); ("run", run) ] @ extra)
-              phase seconds)
-          phases
-      end
-  | Event.Job_failed { job; kind; worker; error } ->
-      bump "engine.job_failures";
-      Telemetry.instant tele ~cat:"engine" ~track:worker
-        ~attrs:([ ("job", job); ("kind", kind); ("error", error) ] @ extra)
-        "job-failed"
-  | Event.Job_retry { job; kind; worker; attempt; error } ->
-      bump "engine.retries";
-      Telemetry.instant tele ~cat:"engine" ~track:worker
-        ~attrs:
-          ([ ("job", job); ("kind", kind); ("attempt", string_of_int attempt); ("error", error) ]
-          @ extra)
-        "retry"
-  | Event.Job_quarantined { job; kind; attempts; error } ->
-      bump "engine.quarantined";
-      Telemetry.instant tele ~cat:"engine"
-        ~attrs:
-          ([ ("job", job); ("kind", kind); ("attempts", string_of_int attempts); ("error", error) ]
-          @ extra)
-        "quarantined"
-  | Event.Cache_hit { job; kind; source } ->
-      bump "engine.cache_hits";
-      Telemetry.instant tele ~cat:"engine"
-        ~attrs:([ ("job", job); ("kind", kind); ("source", Event.source_name source) ] @ extra)
-        "cache-hit"
-  | Event.Cache_store { kind; key } ->
-      bump "engine.cache_stores";
-      Telemetry.instant tele ~cat:"engine"
-        ~attrs:([ ("kind", kind); ("key", key) ] @ extra)
-        "cache-store"
+(* Every job attempt's start, finish and failure — and the graph's own
+   start and finish — is a tool-phase boundary: a run past its
+   deadline stops at the next one instead of running to completion. *)
+let check_deadline r =
+  match r.deadline with
+  | Some d when Unix.gettimeofday () > d -> raise Deadline_passed
+  | _ -> ()
 
-let record r e =
-  Mutex.lock r.rec_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock r.rec_lock)
-    (fun () ->
-      r.trace <- e :: r.trace;
-      telemetry_of_event r.tele ~run:r.run ~extra:r.extra e;
-      r.sink e)
+let job_failed r ~job ~kind ~worker error =
+  bump r "engine.job_failures";
+  Telemetry.instant r.tele ~cat:"engine" ~track:worker
+    ~attrs:([ ("job", job); ("kind", kind); ("error", error) ] @ r.extra)
+    "job-failed";
+  check_deadline r
+
+(* The modeled per-phase breakdown of a finished job becomes a private
+   modeled track tiled with one span per phase. *)
+let job_finished r ~job ~kind phases =
+  bump r "engine.jobs_finished";
+  if phases <> [] then begin
+    let mt = Telemetry.modeled_track r.tele ~cat:"flow" ~name:job in
+    List.iter
+      (fun (phase, seconds) ->
+        Telemetry.modeled_span r.tele mt
+          ~attrs:([ ("job", job); ("kind", kind); ("run", r.run) ] @ r.extra)
+          phase seconds)
+      phases
+  end;
+  check_deadline r
 
 let pace_off ~pace ~model ~elapsed =
   if pace > 0.0 then begin
@@ -104,13 +64,13 @@ let pace_off ~pace ~model ~elapsed =
   end
 
 (* Runs one node against completed results, returning its artifact and
-   emitting start/finish (failures emit and re-raise). [job_timeout]
-   bounds the job's wall-clock (pacing included): a job that ran past
-   it counts as failed — modeling a tool invocation killed by the
-   build supervisor — and its artifact is discarded. *)
+   recording its span (failures are recorded and re-raised).
+   [job_timeout] bounds the job's wall-clock (pacing included): a job
+   that ran past it counts as failed — modeling a tool invocation
+   killed by the build supervisor — and its artifact is discarded. *)
 let run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node =
   let id = Jobgraph.id node and kind = Jobgraph.kind node in
-  record rec_ (Event.Job_start { job = id; kind; worker });
+  check_deadline rec_;
   (* The whole job body runs inside one exception-safe telemetry span
      (pacing included), so a raising job still closes its span. *)
   Telemetry.with_span rec_.tele ~cat:"engine" ~track:worker
@@ -119,7 +79,7 @@ let run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node =
       @ rec_.extra)
     id (fun () ->
       let t0 = Unix.gettimeofday () in
-      match Jobgraph.run node { Jobgraph.fetch; emit = record rec_; worker } with
+      match Jobgraph.run node { Jobgraph.fetch; worker } with
       | v ->
           let model = Jobgraph.model node v in
           pace_off ~pace ~model ~elapsed:(Unix.gettimeofday () -. t0);
@@ -127,23 +87,17 @@ let run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node =
           (match job_timeout with
           | Some limit when wall > limit ->
               let error = Printf.sprintf "job %s exceeded timeout (%.3fs > %.3fs)" id wall limit in
-              record rec_ (Event.Job_failed { job = id; kind; worker; error });
+              job_failed rec_ ~job:id ~kind ~worker error;
               raise (Job_timeout error)
           | _ -> ());
-          record rec_
-            (Event.Job_finish
-               {
-                 job = id;
-                 kind;
-                 worker;
-                 wall_seconds = wall;
-                 model_seconds = model;
-                 phases = Jobgraph.phases node v;
-               });
+          job_finished rec_ ~job:id ~kind (Jobgraph.phases node v);
           v
       | exception e ->
-          record rec_ (Event.Job_failed { job = id; kind; worker; error = Printexc.to_string e });
+          job_failed rec_ ~job:id ~kind ~worker (Printexc.to_string e);
           raise e)
+
+(* A passed deadline ends the run: it is never retried or quarantined. *)
+let is_deadline = function Deadline_passed -> true | _ -> false
 
 (* Retry a flaky job up to [max_retries] extra attempts before giving
    it up for good. *)
@@ -152,16 +106,18 @@ let run_node_retrying ~rec_ ~pace ~job_timeout ~max_retries ~worker ~fetch node 
     match run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node with
     | v -> Ok (v, k)
     | exception e ->
-        if k < max_retries then begin
-          record rec_
-            (Event.Job_retry
-               {
-                 job = Jobgraph.id node;
-                 kind = Jobgraph.kind node;
-                 worker;
-                 attempt = k + 1;
-                 error = Printexc.to_string e;
-               });
+        if k < max_retries && not (is_deadline e) then begin
+          bump rec_ "engine.retries";
+          Telemetry.instant rec_.tele ~cat:"engine" ~track:worker
+            ~attrs:
+              ([
+                 ("job", Jobgraph.id node);
+                 ("kind", Jobgraph.kind node);
+                 ("attempt", string_of_int (k + 1));
+                 ("error", Printexc.to_string e);
+               ]
+              @ rec_.extra)
+            "retry";
           attempt (k + 1)
         end
         else Error (e, k)
@@ -175,8 +131,17 @@ let guard_fetch node fetch id =
   fetch id
 
 let quarantine_event ~rec_ node ~attempts ~error =
-  record rec_
-    (Event.Job_quarantined { job = Jobgraph.id node; kind = Jobgraph.kind node; attempts; error })
+  bump rec_ "engine.quarantined";
+  Telemetry.instant rec_.tele ~cat:"engine"
+    ~attrs:
+      ([
+         ("job", Jobgraph.id node);
+         ("kind", Jobgraph.kind node);
+         ("attempts", string_of_int attempts);
+         ("error", error);
+       ]
+      @ rec_.extra)
+    "quarantined"
 
 let sequential ~rec_ ~pace ~job_timeout ~max_retries ~keep_going g =
   let done_ = Hashtbl.create (2 * Jobgraph.size g) in
@@ -195,7 +160,7 @@ let sequential ~rec_ ~pace ~job_timeout ~max_retries ~keep_going g =
           match run_node_retrying ~rec_ ~pace ~job_timeout ~max_retries ~worker:0 ~fetch node with
           | Ok (v, _) -> Hashtbl.replace done_ (Jobgraph.id node) v
           | Error (e, attempts) ->
-              if keep_going then begin
+              if keep_going && not (is_deadline e) then begin
                 let error = Printexc.to_string e in
                 Hashtbl.replace quarantined (Jobgraph.id node) error;
                 quarantine_event ~rec_ node ~attempts:(attempts + 1) ~error
@@ -276,7 +241,8 @@ let parallel ~rec_ ~pace ~job_timeout ~max_retries ~keep_going ~workers g =
                     else Hashtbl.replace p.waiting d (left - 1))
               (Jobgraph.dependents g (Jobgraph.id node))
         | Error (e, attempts) ->
-            if keep_going then quarantine node ~attempts ~error:(Printexc.to_string e)
+            if keep_going && not (is_deadline e) then
+              quarantine node ~attempts ~error:(Printexc.to_string e)
             else begin
               (match p.failure with None -> p.failure <- Some e | Some _ -> ());
               p.unfinished <- p.unfinished - 1
@@ -317,10 +283,17 @@ let parallel ~rec_ ~pace ~job_timeout ~max_retries ~keep_going ~workers g =
   (p.results, p.quarantined)
 
 let run ?(workers = 1) ?(pace = 0.0) ?job_timeout ?(max_retries = 0) ?(keep_going = false)
-    ?(on_event = ignore) ?(telemetry = Telemetry.default) ?(attrs = []) g =
-  let rec_ = recorder ~tele:telemetry ~extra:attrs on_event in
+    ?deadline ?(telemetry = Telemetry.default) ?(attrs = []) g =
+  let rec_ =
+    {
+      tele = telemetry;
+      run = string_of_int (Atomic.fetch_and_add run_ids 1);
+      extra = attrs;
+      deadline;
+    }
+  in
   let t0 = Unix.gettimeofday () in
-  record rec_ (Event.Graph_start { jobs = Jobgraph.size g; workers });
+  check_deadline rec_;
   let results, quarantined =
     Telemetry.with_span telemetry ~cat:"engine"
       ~attrs:
@@ -336,7 +309,7 @@ let run ?(workers = 1) ?(pace = 0.0) ?job_timeout ?(max_retries = 0) ?(keep_goin
         else parallel ~rec_ ~pace ~job_timeout ~max_retries ~keep_going ~workers g)
   in
   let wall = Unix.gettimeofday () -. t0 in
-  record rec_ (Event.Graph_finish { jobs = Jobgraph.size g; wall_seconds = wall });
+  check_deadline rec_;
   {
     artifacts =
       List.filter_map
@@ -351,5 +324,4 @@ let run ?(workers = 1) ?(pace = 0.0) ?job_timeout ?(max_retries = 0) ?(keep_goin
             (Hashtbl.find_opt quarantined (Jobgraph.id n)))
         (Jobgraph.nodes g);
     wall_seconds = wall;
-    events = List.rev rec_.trace;
   }

@@ -7,7 +7,7 @@
     sequentially on the calling domain in {!Jobgraph.order}; parallel
     and sequential runs produce identical artifacts (jobs must be
     deterministic, which seeded P&R is), differing only in wall-clock
-    fields and event interleaving.
+    fields and span interleaving.
 
     [pace] throttles each job to [pace *. model] wall seconds (sleeping
     off whatever its real compute did not use). The simulator's real
@@ -31,12 +31,14 @@ type 'a result = {
       (** [(job, error)] for every skipped node, in submission order;
           empty unless [keep_going] swallowed failures *)
   wall_seconds : float;  (** measured, whole graph *)
-  events : Event.t list;  (** in emission order *)
 }
 
 exception Job_timeout of string
 (** A job exceeded [job_timeout] wall seconds — the supervisor killed
     the (modeled) tool run. Subject to retry like any other failure. *)
+
+exception Deadline_passed
+(** The run crossed a tool-phase boundary after its [deadline]. *)
 
 val run :
   ?workers:int ->
@@ -44,28 +46,33 @@ val run :
   ?job_timeout:float ->
   ?max_retries:int ->
   ?keep_going:bool ->
-  ?on_event:(Event.t -> unit) ->
+  ?deadline:float ->
   ?telemetry:Pld_telemetry.Telemetry.t ->
   ?attrs:(string * string) list ->
   'a Jobgraph.t ->
   'a result
-(** Executes the graph to completion. [on_event] (default ignore)
-    additionally streams each event as it is emitted; it is called
-    under the trace lock and so must not itself run the executor.
+(** Executes the graph to completion.
+
+    [deadline] (absolute [Unix.gettimeofday] time, default none) is
+    checked at every tool-phase boundary — graph start and finish, and
+    each job attempt's start, finish and failure. Past it the run raises
+    {!Deadline_passed} (never retried or quarantined): in-flight jobs
+    finish, no new job starts.
 
     [attrs] (default empty) is appended to the attributes of every
     telemetry span and instant this run records — the graph span, the
-    per-job spans, the modeled phase spans, and the cache/retry
-    instants. The service uses it to stamp a request's trace id onto
+    per-job spans, the modeled phase spans, and the
+    failure/retry/quarantine instants. The service uses it to stamp a request's trace id onto
     the whole build, so one distributed trace stitches the client RPC
     to the tool phases it paid for.
 
     [telemetry] (default {!Pld_telemetry.Telemetry.default}) receives
     the run as spans and metrics: a ["graph"] span over the whole run,
     one exception-safe wall-clock span per job attempt on the worker's
-    track, instants for retries/failures/quarantines/cache traffic,
-    modeled per-phase spans for each finished job, and counters
-    ([engine.jobs_finished], [engine.cache_hits], ...). Every span of
+    track, instants for failures/retries/quarantines, modeled
+    per-phase spans for each finished job, and counters
+    ([engine.jobs_finished], [engine.retries], ...). These are the
+    run's only record. Every span of
     one run — the graph span, the per-job spans, and the modeled phase
     spans — carries a ["run"] attribute holding a process-unique run
     id, and each job span carries its dependency list in a ["deps"]
@@ -75,10 +82,11 @@ val run :
 
     [job_timeout] (wall seconds, pacing included) fails jobs that run
     past it. [max_retries] (default 0) re-runs a failed job that many
-    extra times, emitting [Job_retry] events. [keep_going] (default
-    false) quarantines jobs whose retries are exhausted instead of
-    aborting: the failure is recorded ([Job_quarantined]), dependents
-    are skipped, and the run returns normally with the survivors.
+    extra times, recording a ["retry"] instant each. [keep_going]
+    (default false) quarantines jobs whose retries are exhausted
+    instead of aborting: the failure is recorded (a ["quarantined"]
+    instant), dependents are skipped, and the run returns normally
+    with the survivors.
 
     Without [keep_going]: if a job ultimately fails, no new jobs start,
     in-flight jobs finish, and the original exception is re-raised on

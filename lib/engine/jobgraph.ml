@@ -2,7 +2,7 @@ module Topo = Pld_util.Topo
 
 exception Invalid of string
 
-type 'a ctx = { fetch : string -> 'a; emit : Event.t -> unit; worker : int }
+type 'a ctx = { fetch : string -> 'a; worker : int }
 
 type 'a node = {
   id : string;

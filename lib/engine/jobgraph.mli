@@ -18,8 +18,6 @@ type 'a ctx = {
   fetch : string -> 'a;
       (** [fetch id] is the artifact of completed dependency [id];
           raises [Invalid] if [id] is not a dependency of this node. *)
-  emit : Event.t -> unit;
-      (** Inject an event (e.g. a cache hit) into the run's trace. *)
   worker : int;  (** index of the worker domain running this node *)
 }
 
@@ -34,8 +32,8 @@ val node :
   ('a ctx -> 'a) ->
   'a node
 (** [model] and [phases] report the modeled backend-tool cost of the
-    produced artifact (for {!Event.Job_finish} and for pacing); both
-    default to zero. *)
+    produced artifact (for the modeled phase spans and for pacing);
+    both default to zero. *)
 
 val id : 'a node -> string
 val kind : 'a node -> string

@@ -2,10 +2,10 @@ open Pld_ir
 module Fp = Pld_fabric.Floorplan
 module Hls = Pld_hls.Hls_compile
 module Digest = Pld_util.Digest_lite
-module Event = Pld_engine.Event
 module Jobgraph = Pld_engine.Jobgraph
 module Executor = Pld_engine.Executor
 module Store = Pld_engine.Store
+module Telemetry = Pld_telemetry.Telemetry
 
 type level = O0 | O1 | O3 | Vitis
 
@@ -29,7 +29,7 @@ type report = {
   by_kind : (string * int * int) list;
   quarantined : (string * string) list;
   fallbacks : string list;
-  events : Event.t list;
+  stored : int;
 }
 
 type app = {
@@ -115,13 +115,27 @@ let cache_dir c = Option.map Store.dir c.store
 
 let counter c kind = List.assoc kind c.counters
 
+(* A build job's cache traffic is recorded into the build's sink as
+   engine instants and counters; profile lookups belong to no job and
+   pass no [sink]. *)
+let note_cache ?sink ~counter name attrs =
+  match sink with
+  | None -> ()
+  | Some (tele, extra) ->
+      Telemetry.incr (Telemetry.counter tele counter);
+      Telemetry.instant tele ~cat:"engine" ~attrs:(attrs @ extra) name
+
 (* Typed lookup in one kind partition: memory first, then the
    persistent store (promoting disk hits into memory). *)
-let cache_find (type v) c (tbl : (Digest.t, v) Hashtbl.t) ~kind ~key ~job ~emit : v option =
+let cache_find (type v) ?sink c (tbl : (Digest.t, v) Hashtbl.t) ~kind ~key ~job : v option =
+  let hit source =
+    note_cache ?sink ~counter:"engine.cache_hits" "cache-hit"
+      [ ("job", job); ("kind", kind); ("source", source) ]
+  in
   match locked c (fun () -> Hashtbl.find_opt tbl key) with
   | Some v ->
       locked c (fun () -> (counter c kind).hits <- (counter c kind).hits + 1);
-      emit (Event.Cache_hit { job; kind; source = Event.Memory });
+      hit "memory";
       Some v
   | None -> (
       match Option.bind c.store (fun s -> (Store.find s ~kind ~key : v option)) with
@@ -129,26 +143,22 @@ let cache_find (type v) c (tbl : (Digest.t, v) Hashtbl.t) ~kind ~key ~job ~emit 
           locked c (fun () ->
               Hashtbl.replace tbl key v;
               (counter c kind).hits <- (counter c kind).hits + 1);
-          emit (Event.Cache_hit { job; kind; source = Event.Disk });
+          hit "disk";
           Some v
       | None ->
           locked c (fun () -> (counter c kind).misses <- (counter c kind).misses + 1);
           None)
 
-let cache_put (type v) c (tbl : (Digest.t, v) Hashtbl.t) ~kind ~key ~emit (v : v) =
+let cache_put (type v) ?sink c (tbl : (Digest.t, v) Hashtbl.t) ~kind ~key (v : v) =
   locked c (fun () -> Hashtbl.replace tbl key v);
   match c.store with
   | Some s when c.persist ->
       Store.put s ~kind ~key v;
-      emit (Event.Cache_store { kind; key })
+      note_cache ?sink ~counter:"engine.cache_stores" "cache-store" [ ("kind", kind); ("key", key) ]
   | Some _ | None -> ()
 
-(* Profile lookups go through the same typed-partition discipline as
-   the artifacts; they just have no job-graph node, so no events. *)
-let find_profile c ~key =
-  cache_find c c.profiles ~kind:kind_profile ~key ~job:"profile" ~emit:(fun _ -> ())
-
-let put_profile c ~key doc = cache_put c c.profiles ~kind:kind_profile ~key ~emit:(fun _ -> ()) doc
+let find_profile c ~key = cache_find c c.profiles ~kind:kind_profile ~key ~job:"profile"
+let put_profile c ~key doc = cache_put c c.profiles ~kind:kind_profile ~key doc
 
 (* ---------- models ---------- *)
 
@@ -162,20 +172,6 @@ let phase_list (t : Flow.phase_times) =
     ("bitgen", t.Flow.bitgen);
     ("overhead", t.Flow.overhead);
   ]
-
-(* Aggregate report phases from the trace instead of hand-threading
-   tuples through every compile layer: cache hits executed nothing, so
-   only recompiled jobs contribute. *)
-let phases_of_events events =
-  let totals = Event.phase_totals events in
-  let get n = Option.value ~default:0.0 (List.assoc_opt n totals) in
-  {
-    Flow.hls = get "hls";
-    syn = get "syn";
-    pnr = get "pnr";
-    bitgen = get "bitgen";
-    overhead = get "overhead";
-  }
 
 (* ---------- keys ---------- *)
 
@@ -231,18 +227,63 @@ let art_phases = function
   | A_mono { m_app; _ } -> phase_list m_app.Flow.times3
   | A_impl _ | A_assign _ -> []
 
+let art_hit = function
+  | A_op r -> r.o_hit
+  | A_mono r -> r.m_hit
+  | A_impl _ | A_assign _ -> false
+
+(* Report aggregates come from the artifacts the executor returned, in
+   submission order — not from the telemetry sink, which is shared by
+   concurrent builds and drops spans past its cap. Cache hits executed
+   nothing, so only recompiled jobs contribute phases. *)
+let phases_of_artifacts artifacts =
+  let total phase =
+    List.fold_left
+      (fun acc (_, a) ->
+        List.fold_left (fun acc (p, s) -> if p = phase then acc +. s else acc) acc (art_phases a))
+      0.0 artifacts
+  in
+  {
+    Flow.hls = total "hls";
+    syn = total "syn";
+    pnr = total "pnr";
+    bitgen = total "bitgen";
+    overhead = total "overhead";
+  }
+
+(* Per job kind, in first-appearance order: (kind, hits, misses). *)
+let by_kind jobgraph artifacts =
+  let finished =
+    List.filter_map
+      (fun n ->
+        Option.map (fun a -> (Jobgraph.kind n, art_hit a)) (List.assoc_opt (Jobgraph.id n) artifacts))
+      (Jobgraph.nodes jobgraph)
+  in
+  let kinds = List.fold_left (fun ks (k, _) -> if List.mem k ks then ks else ks @ [ k ]) [] finished in
+  let count k hit = List.length (List.filter (( = ) (k, hit)) finished) in
+  List.map (fun k -> (k, count k true, count k false)) kinds
+
+(* Every job that compiled its artifact rather than finding it wrote it
+   to the persistent store, unless the cache is a read-only view. *)
+let stored cache artifacts =
+  let compiled = function A_op _ | A_mono _ as a -> not (art_hit a) | A_impl _ | A_assign _ -> false in
+  if cache.persist && Option.is_some cache.store then
+    List.length (List.filter (fun (_, a) -> compiled a) artifacts)
+  else 0
+
 (* PicoRV32 + memory: a fixed overlay footprint (before the shared
    leaf interface is added). *)
 let softcore_demand = { Pld_netlist.Netlist.luts = 900; ffs = 1300; brams = 6; dsps = 1 }
 
 (* ---------- paged flows (-O0 / -O1) ---------- *)
 
-let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~faults
+let compile_paged ~cache ~workers ~jobs ~pace ~seed ~deadline ~telemetry ~attrs ~faults
     ~max_retries ~defective (fp : Fp.t) (g : Graph.t) ~level =
   (* A fault injector can make named jobs fail (transient tool crash);
      the check counts one attempt per call, so executor retries see the
      job eventually succeed. *)
   let inject job = match faults with Some f -> Pld_faults.Fault.job_check f ~job | None -> () in
+  let sink = (telemetry, attrs) in
   let target_of (i : Graph.instance) = match level with O0 -> Graph.Riscv | _ -> i.target in
   let is_hw i = match target_of i with Graph.Hw _ -> true | Graph.Riscv -> false in
   let source_digest (i : Graph.instance) = Digest.of_string (Op.source i.op) in
@@ -304,14 +345,13 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
             in
             let page = List.assoc i.inst_name assignment in
             let key = op_key ~level ~seed ~page i in
-            let emit = ctx.Jobgraph.emit in
             if hw then
-              match cache_find cache cache.hw ~kind ~key ~job:job_id ~emit with
+              match cache_find ~sink cache cache.hw ~kind ~key ~job:job_id with
               | Some h -> A_op { o_name = i.inst_name; o_compiled = Hw_page h; o_model = 0.0; o_hit = true }
               | None ->
                   let impl = fetch_impl ctx (source_digest i) in
                   let h = Flow.compile_o1_operator ~seed ~impl fp ~page ~inst:i.inst_name i.op in
-                  cache_put cache cache.hw ~kind ~key ~emit h;
+                  cache_put ~sink cache cache.hw ~kind ~key h;
                   A_op
                     {
                       o_name = i.inst_name;
@@ -320,11 +360,11 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
                       o_hit = false;
                     }
             else
-              match cache_find cache cache.soft ~kind ~key ~job:job_id ~emit with
+              match cache_find ~sink cache cache.soft ~kind ~key ~job:job_id with
               | Some s -> A_op { o_name = i.inst_name; o_compiled = Soft_page s; o_model = 0.0; o_hit = true }
               | None ->
                   let s = Flow.compile_o0_operator ~page ~inst:i.inst_name i.op in
-                  cache_put cache cache.soft ~kind ~key ~emit s;
+                  cache_put ~sink cache cache.soft ~kind ~key s;
                   A_op
                     {
                       o_name = i.inst_name;
@@ -336,8 +376,8 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
   in
   let jobgraph = Jobgraph.make (hls_nodes @ (assign_node :: op_nodes)) in
   let result =
-    Executor.run ~workers:jobs ~pace ~max_retries ~keep_going:(faults <> None) ~on_event ~telemetry
-      ~attrs jobgraph
+    Executor.run ~workers:jobs ~pace ~max_retries ~keep_going:(faults <> None) ?deadline
+      ~telemetry ~attrs jobgraph
   in
   let quarantined = result.Executor.quarantined in
   let quarantine_error job =
@@ -379,7 +419,7 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
   in
   let fallbacks = List.rev !fallbacks in
   let durations = List.map (fun r -> r.o_model) ops in
-  let events = result.Executor.events in
+  let artifacts = result.Executor.artifacts in
   {
     graph = g;
     fp;
@@ -391,7 +431,7 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
       {
         level;
         per_op_seconds = List.map (fun r -> (r.o_name, r.o_model)) ops;
-        phases = phases_of_events events;
+        phases = phases_of_artifacts artifacts;
         serial_seconds = List.fold_left ( +. ) 0.0 durations;
         parallel_seconds = makespan ~workers durations;
         wall_seconds = result.Executor.wall_seconds;
@@ -399,36 +439,35 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs 
         jobs;
         cache_hits = List.length (List.filter (fun r -> r.o_hit) ops);
         recompiled = List.length (List.filter (fun r -> not r.o_hit) ops);
-        by_kind = Event.by_kind events;
+        by_kind = by_kind jobgraph artifacts;
         quarantined;
         fallbacks;
-        events;
+        stored = stored cache artifacts;
       };
   }
 
 (* ---------- monolithic flows (-O3 / Vitis) ---------- *)
 
-let compile_mono ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~faults
+let compile_mono ~cache ~workers ~jobs ~pace ~seed ~deadline ~telemetry ~attrs ~faults
     ~max_retries ~previous ~pnr_seeds (fp : Fp.t) (g : Graph.t) ~level =
   let inject job = match faults with Some f -> Pld_faults.Fault.job_check f ~job | None -> () in
+  let sink = (telemetry, attrs) in
   let key = mono_key ~level ~seed ~pnr_seeds ?previous g in
   let job_id = "mono:" ^ g.graph_name in
   let node =
-    Jobgraph.node ~id:job_id ~kind:kind_mono ~model:art_model ~phases:art_phases (fun ctx ->
+    Jobgraph.node ~id:job_id ~kind:kind_mono ~model:art_model ~phases:art_phases (fun _ ->
         inject job_id;
-        match
-          cache_find cache cache.mono ~kind:kind_mono ~key ~job:job_id ~emit:ctx.Jobgraph.emit
-        with
+        match cache_find ~sink cache cache.mono ~kind:kind_mono ~key ~job:job_id with
         | Some m -> A_mono { m_app = m; m_model = 0.0; m_hit = true }
         | None ->
             let m = Flow.compile_o3 ~seed ~vitis_baseline:(level = Vitis) ?previous ~pnr_seeds fp g in
-            cache_put cache cache.mono ~kind:kind_mono ~key ~emit:ctx.Jobgraph.emit m;
+            cache_put ~sink cache cache.mono ~kind:kind_mono ~key m;
             A_mono { m_app = m; m_model = Flow.total_seconds m.Flow.times3; m_hit = false })
   in
+  let jobgraph = Jobgraph.make [ node ] in
   let result =
-    Executor.run ~workers:jobs ~pace ~max_retries ~keep_going:(faults <> None) ~on_event ~telemetry
-      ~attrs
-      (Jobgraph.make [ node ])
+    Executor.run ~workers:jobs ~pace ~max_retries ~keep_going:(faults <> None) ?deadline
+      ~telemetry ~attrs jobgraph
   in
   let r =
     match List.assoc_opt job_id result.Executor.artifacts with
@@ -445,16 +484,15 @@ let compile_mono ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~
   in
   (* Incremental-P&R observability: what the delta path did (or why it
      bailed). Cache hits ran no P&R, so they count nothing. *)
-  let module T = Pld_telemetry.Telemetry in
+  let bump ?by name = Telemetry.incr ?by (Telemetry.counter telemetry name) in
   (if not r.m_hit then
      match r.m_app.Flow.pnr3.Pld_pnr.Pnr.delta with
      | Some d ->
-         T.incr ~by:d.Pld_pnr.Pnr.cells_moved (T.counter telemetry "pnr.cells_moved");
-         T.incr ~by:d.Pld_pnr.Pnr.nets_rerouted (T.counter telemetry "pnr.nets_rerouted");
-         if d.Pld_pnr.Pnr.fallback = None then T.incr (T.counter telemetry "pnr.delta_hits")
-         else T.incr (T.counter telemetry "pnr.delta_fallbacks")
+         bump ~by:d.Pld_pnr.Pnr.cells_moved "pnr.cells_moved";
+         bump ~by:d.Pld_pnr.Pnr.nets_rerouted "pnr.nets_rerouted";
+         bump (if d.Pld_pnr.Pnr.fallback = None then "pnr.delta_hits" else "pnr.delta_fallbacks")
      | None -> ());
-  let events = result.Executor.events in
+  let artifacts = result.Executor.artifacts in
   {
     graph = g;
     fp;
@@ -466,7 +504,7 @@ let compile_mono ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~
       {
         level;
         per_op_seconds = [ (g.graph_name, r.m_model) ];
-        phases = phases_of_events events;
+        phases = phases_of_artifacts artifacts;
         serial_seconds = r.m_model;
         parallel_seconds = r.m_model;
         wall_seconds = result.Executor.wall_seconds;
@@ -474,23 +512,22 @@ let compile_mono ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~
         jobs;
         cache_hits = (if r.m_hit then 1 else 0);
         recompiled = (if r.m_hit then 0 else 1);
-        by_kind = Event.by_kind events;
+        by_kind = by_kind jobgraph artifacts;
         quarantined = result.Executor.quarantined;
         fallbacks = [];
-        events;
+        stored = stored cache artifacts;
       };
   }
 
 (* ---------- entry point ---------- *)
 
-let compile ?cache ?(workers = 22) ?(jobs = 1) ?(pace = 0.0) ?(seed = 7) ?(on_event = ignore)
-    ?(telemetry = Pld_telemetry.Telemetry.default) ?(attrs = []) ?faults ?(max_retries = 0)
+let compile ?cache ?(workers = 22) ?(jobs = 1) ?(pace = 0.0) ?(seed = 7) ?deadline
+    ?(telemetry = Telemetry.default) ?(attrs = []) ?faults ?(max_retries = 0)
     ?(defective = []) ?previous ?(pnr_seeds = []) (fp : Fp.t) (g : Graph.t) ~level =
   Validate.check_graph_exn g;
   ignore (makespan ~workers []);
   (* validate [workers] eagerly *)
   let cache = match cache with Some c -> c | None -> create_cache () in
-  let module Telemetry = Pld_telemetry.Telemetry in
   Telemetry.with_span telemetry ~cat:"build"
     ~attrs:([ ("graph", g.Graph.graph_name); ("level", level_name level) ] @ attrs)
     ("compile:" ^ g.Graph.graph_name)
@@ -505,8 +542,8 @@ let compile ?cache ?(workers = 22) ?(jobs = 1) ?(pace = 0.0) ?(seed = 7) ?(on_ev
         | Some (p : app) when p.level = level -> Option.map (fun m -> m.Flow.pnr3) p.monolithic
         | Some _ | None -> None
       in
-      compile_mono ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~faults
+      compile_mono ~cache ~workers ~jobs ~pace ~seed ~deadline ~telemetry ~attrs ~faults
         ~max_retries ~previous ~pnr_seeds fp g ~level
   | O0 | O1 ->
-      compile_paged ~cache ~workers ~jobs ~pace ~seed ~on_event ~telemetry ~attrs ~faults
+      compile_paged ~cache ~workers ~jobs ~pace ~seed ~deadline ~telemetry ~attrs ~faults
         ~max_retries ~defective fp g ~level

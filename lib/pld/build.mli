@@ -45,7 +45,7 @@ type report = {
   fallbacks : string list;
       (** instances whose page compile was quarantined and which were
           re-linked onto the -O0 softcore build instead *)
-  events : Pld_engine.Event.t list;  (** full trace of this build *)
+  stored : int;  (** artifacts this build wrote to the persistent store *)
 }
 
 type app = {
@@ -131,7 +131,7 @@ val compile :
   ?jobs:int ->
   ?pace:float ->
   ?seed:int ->
-  ?on_event:(Pld_engine.Event.t -> unit) ->
+  ?deadline:float ->
   ?telemetry:Pld_telemetry.Telemetry.t ->
   ?attrs:(string * string) list ->
   ?faults:Pld_faults.Fault.t ->
@@ -153,11 +153,13 @@ val compile :
     with [jobs > 1] on that many OCaml domains. [pace] throttles each
     job to [pace] wall-seconds per modeled second (see
     [Pld_engine.Executor]); 0 (default) runs the simulator's own
-    algorithms flat out. [on_event] streams trace events as they
-    happen; the full trace is also in [report.events]. [telemetry]
-    (default [Pld_telemetry.Telemetry.default]) is the sink the build
-    span and the executor's spans/metrics are recorded into — hand a
-    private sink for hermetic trace analysis.
+    algorithms flat out. [deadline] (absolute wall time) stops the
+    build at its next tool-phase boundary with
+    [Pld_engine.Executor.Deadline_passed]. [telemetry] (default
+    [Pld_telemetry.Telemetry.default]) is the sink the build span, the
+    executor's spans/metrics and the cache-hit/cache-store instants
+    are recorded into — the build's only trace; hand a private sink
+    for hermetic trace analysis.
 
     [faults] injects failures into named jobs (see
     [Pld_faults.Fault.job_check]); it also switches the executor to

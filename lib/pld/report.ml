@@ -36,9 +36,9 @@ let cache_summary (r : Build.report) =
        (fun (kind, hits, misses) -> Printf.sprintf "%s %d hit/%d miss" kind hits misses)
        r.Build.by_kind)
 
-(* The human --trace view is rendered from the telemetry spans, not
-   from [Build.report.events]: the sink is process-wide, so engine
-   jobs, NoC replays, cosim firings and the loader's recovery ladder
+(* The human --trace view is rendered from the telemetry spans — a
+   build's only trace. The sink is process-wide, so engine jobs, NoC
+   replays, cosim firings and the loader's recovery ladder
    interleave on one wall-clock timeline in timestamp order. Modeled
    spans live on a different clock and get their own trailing
    section. *)

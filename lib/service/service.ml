@@ -213,11 +213,6 @@ let tenant_of t name =
 
 let job_key g level = Pld_util.Digest_lite.of_parts [ Graph.source g; Build.level_name level ]
 
-let store_writes report =
-  List.fold_left
-    (fun acc ev -> match ev with Pld_engine.Event.Cache_store _ -> acc + 1 | _ -> acc)
-    0 report.Build.events
-
 (* ---------- completion ---------- *)
 
 (* Must hold t.mu: route a terminal error into its counter class.
@@ -312,7 +307,7 @@ let finish t (j : job) started result =
         count_error t tn e;
         Error e
     | Ok (app : Build.app) ->
-        let writes = store_writes app.Build.report in
+        let writes = app.Build.report.Build.stored in
         tn.tn_store_writes <- tn.tn_store_writes + writes;
         let cross =
           app.Build.report.Build.recompiled = 0
@@ -506,22 +501,14 @@ let run_job t (j : job) =
       | Some ms -> Unix.sleepf (float_of_int ms /. 1000.0)
       | None -> ())
   | None -> ());
-  (* Deadline checks ride the executor's event stream: every job
-     start/finish is a tool-phase boundary, so an expired build stops
-     at the next boundary instead of running to completion. *)
-  let deadline_hit = ref false in
-  let on_event _ =
-    match j.j_deadline with
-    | Some d when Unix.gettimeofday () > d ->
-        deadline_hit := true;
-        raise Exit
-    | _ -> ()
-  in
+  (* The executor checks the deadline at every tool-phase boundary, so
+     an expired build stops at the next one instead of running to
+     completion. *)
   let result =
     try
       Ok
-        (Build.compile ~cache ~workers:t.workers ~jobs:t.jobs ~pace:t.pace ~seed:t.seed ~on_event
-           ~telemetry:t.telemetry
+        (Build.compile ~cache ~workers:t.workers ~jobs:t.jobs ~pace:t.pace ~seed:t.seed
+           ?deadline:j.j_deadline ~telemetry:t.telemetry
            ~attrs:[ ("trace", j.j_trace); ("tenant", j.j_tenant) ]
            t.fp j.j_graph ~level:j.j_level)
     with e -> Error e
@@ -535,7 +522,7 @@ let run_job t (j : job) =
     let result =
       match result with
       | Ok app -> Ok app
-      | Error _ when !deadline_hit ->
+      | Error Pld_engine.Executor.Deadline_passed ->
           let overrun_ms =
             match j.j_deadline with
             | Some d -> max 0 (int_of_float ((Unix.gettimeofday () -. d) *. 1000.0))
@@ -936,7 +923,8 @@ let stats t =
   Mutex.unlock t.mu;
   st
 
-let percentile = Quantile.of_samples
+let percentile samples q =
+  match samples with [] -> 0.0 | xs -> Pld_util.Stats.percentile (100.0 *. q) xs
 
 let stats_json (s : stats) =
   let tenant_json ts =

@@ -232,8 +232,9 @@ type stats = {
 val stats : t -> stats
 
 val percentile : float list -> float -> float
-(** [percentile samples q] with [q] in [0,1] — nearest-rank on a sorted
-    copy; 0 for an empty list. *)
+(** [percentile samples q] with [q] in [0,1] —
+    {!Pld_util.Stats.percentile} (linear interpolation between order
+    statistics); 0 for an empty list. *)
 
 val stats_json : stats -> Pld_telemetry.Json.t
 val render_stats : stats -> string list

@@ -1,7 +1,6 @@
 open Pld_ir
 module Rng = Pld_util.Rng
 module Json = Pld_telemetry.Json
-module Quantile = Pld_telemetry.Quantile
 
 type options = {
   sessions : int;
@@ -193,9 +192,9 @@ let run ~service (o : options) =
     sm_cache_hits = !hits;
     sm_recompiled = !recompiled;
     sm_store_writes = !writes;
-    sm_p50 = Quantile.of_samples lats 0.50;
-    sm_p95 = Quantile.of_samples lats 0.95;
-    sm_p99 = Quantile.of_samples lats 0.99;
+    sm_p50 = Service.percentile lats 0.50;
+    sm_p95 = Service.percentile lats 0.95;
+    sm_p99 = Service.percentile lats 0.99;
     sm_mean = List.fold_left ( +. ) 0.0 lats /. float_of_int n;
     sm_max = List.fold_left Float.max 0.0 lats;
     sm_per_tenant =

@@ -1,13 +1,3 @@
-let of_samples samples q =
-  match samples with
-  | [] -> 0.0
-  | _ ->
-      let a = Array.of_list samples in
-      Array.sort compare a;
-      let n = Array.length a in
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      a.(max 0 (min (n - 1) (rank - 1)))
-
 let of_buckets buckets q =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
   if total = 0 then 0.0

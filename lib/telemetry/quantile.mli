@@ -1,18 +1,9 @@
-(** Shared quantile estimators.
+(** Histogram quantile estimation.
 
-    Two forms, matching the two places latency lives in this codebase:
-    raw sample lists (what [bench service] collects per session) and
-    histogram bucket counts (what the metrics registry and the
-    service's per-tenant latency arrays keep when samples would be
-    unbounded). Both are pure functions, so the service, the bench
-    harness and the daemon's status endpoint all report the same
-    p50/p95/p99 arithmetic. *)
-
-val of_samples : float list -> float -> float
-(** [of_samples xs q] with [q] in [0,1] — nearest-rank on a sorted
-    copy of [xs]; [0.0] for an empty list. This is the estimator the
-    service and bench tiers have always used, so migrating onto it
-    changes no baseline numbers. *)
+    Where samples would be unbounded — the metrics registry and the
+    service's per-tenant latency arrays — latency lives as bucket
+    counts, and this module estimates p50/p95/p99 from them. Raw sample
+    lists use {!Pld_util.Stats.percentile} instead. *)
 
 val of_buckets : (float * int) list -> float -> float
 (** [of_buckets buckets q] estimates the [q]-quantile from cumulative

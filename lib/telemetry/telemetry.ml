@@ -112,9 +112,6 @@ let with_span t ?(cat = "misc") ?track ?(attrs = []) name f =
       close [ ("error", Printexc.to_string e) ];
       raise e
 
-let set_track_name t ?(clock = Wall) ~cat ~track name =
-  locked t (fun () -> Hashtbl.replace t.track_names (cat, clock, track) name)
-
 let alloc_track t ?(clock = Wall) ~cat name =
   locked t (fun () ->
       let k = t.next_track in
@@ -250,8 +247,6 @@ let samples t name =
   match find_metric t name with
   | Some (Histogram h) -> locked t (fun () -> List.rev h.h_samples)
   | _ -> []
-
-let metric_names t = locked t (fun () -> List.rev t.metric_order)
 
 (* ---------- export ---------- *)
 

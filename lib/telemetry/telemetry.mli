@@ -2,7 +2,7 @@
     Perfetto/JSON exporters.
 
     One process-wide, domain-safe sink ({!default}) collects what used
-    to be fragmented over [Engine.Event] lines, [Bft.stats],
+    to be fragmented over executor trace lines, [Bft.stats],
     [Interp.counters] and the recovery report:
 
     - {b spans} — named intervals with a category (the layer: engine,
@@ -87,9 +87,6 @@ val alloc_track : t -> ?clock:clock -> cat:string -> string -> int
     registered under the given display name — exported as a Perfetto
     [thread_name]. *)
 
-val set_track_name : t -> ?clock:clock -> cat:string -> track:int -> string -> unit
-(** Name an existing track (e.g. executor worker indices). *)
-
 (** {2 Modeled-clock tracks}
 
     A modeled track is a private timeline in simulated seconds: each
@@ -148,8 +145,6 @@ val bucket_counts : t -> string -> (float * int) list
 val samples : t -> string -> float list
 (** Raw observations in insertion order (capped; used by the adaptive
     renderers). *)
-
-val metric_names : t -> string list
 
 (** {2 Export} *)
 

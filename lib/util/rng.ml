@@ -41,14 +41,6 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u = 0.0 then draw () else u
-  in
-  let u1 = draw () and u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

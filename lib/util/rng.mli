@@ -27,9 +27,6 @@ val bool : t -> bool
 val bits64 : t -> int64
 (** Raw 64 random bits. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal deviate. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

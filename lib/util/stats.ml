@@ -2,16 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | xs ->
-      let m = mean xs in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-        /. float_of_int (List.length xs - 1)
-      in
-      sqrt var
-
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty"
   | xs ->

@@ -1,7 +1,6 @@
 (** Small descriptive-statistics helpers used by the benchmark harness. *)
 
 val mean : float list -> float
-val stddev : float list -> float
 
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0, 100]; linear interpolation between

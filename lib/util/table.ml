@@ -33,12 +33,3 @@ let render ?(aligns = []) ~header rows =
     rows;
   Buffer.add_string buf (line '-');
   Buffer.contents buf
-
-let escape_csv s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let render_csv ~header rows =
-  let line r = String.concat "," (List.map escape_csv r) in
-  String.concat "\n" (line header :: List.map line rows)

@@ -61,48 +61,6 @@ let sort ~n ~edges =
     walk start 0 []
   end
 
-let is_dag ~n ~edges = match sort ~n ~edges with _ -> true | exception Cycle _ -> false
-
-let sccs ~n ~edges =
-  let adj, _ = adjacency n edges in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let components = ref [] in
-  (* Iterative Tarjan to avoid stack overflow on long chains. *)
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      adj.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-      in
-      components := pop [] :: !components
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
-  done;
-  List.rev !components
-
 let longest_path ~n ~edges =
   let plain = List.map (fun (u, v, _) -> (u, v)) edges in
   let order = sort ~n ~edges:plain in

@@ -8,12 +8,6 @@ val sort : n:int -> edges:(int * int) list -> int list
     [(u, v)] edge means "u before v". Stable with respect to vertex
     numbering among independent vertices. Raises {!Cycle} if cyclic. *)
 
-val is_dag : n:int -> edges:(int * int) list -> bool
-
-val sccs : n:int -> edges:(int * int) list -> int list list
-(** Strongly connected components (Tarjan), in reverse topological
-    order of the condensation. *)
-
 val longest_path : n:int -> edges:(int * int * float) list -> float array
 (** [longest_path ~n ~edges] gives, for each vertex, the weight of the
     longest weighted path ending at it (0 for sources). Requires a DAG;

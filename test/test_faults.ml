@@ -12,6 +12,7 @@ module Bft = Pld_noc.Bft
 module Traffic = Pld_noc.Traffic
 module Card = Pld_platform.Card
 module Fp = Pld_fabric.Floorplan
+module Telemetry = Pld_telemetry.Telemetry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -318,16 +319,18 @@ let test_deploy_exhausted_raises () =
 
 (* ---------- build engine: retry and quarantine ---------- *)
 
+let instants telemetry name =
+  List.filter
+    (fun (s : Telemetry.span) -> s.Telemetry.dur_us = None && s.Telemetry.name = name)
+    (Telemetry.spans telemetry)
+
 let test_build_job_retry () =
   let faults = injector ~tag:"build-retry" { Fault.empty with Fault.flaky_jobs = [ ("op:stage0", 1) ] } in
-  let app = Build.compile ~faults ~max_retries:2 fp (pipeline 2) ~level:Build.O1 in
+  let telemetry = Telemetry.create () in
+  let app = Build.compile ~faults ~max_retries:2 ~telemetry fp (pipeline 2) ~level:Build.O1 in
   check_bool "nothing quarantined" true (app.Build.report.Build.quarantined = []);
   check_bool "no fallbacks" true (app.Build.report.Build.fallbacks = []);
-  let retries =
-    List.filter (function Pld_engine.Event.Job_retry _ -> true | _ -> false)
-      app.Build.report.Build.events
-  in
-  check_int "one retry in the trace" 1 (List.length retries);
+  check_int "one retry in the trace" 1 (List.length (instants telemetry "retry"));
   (* The retried build is a normal build: all pages hardware. *)
   List.iter
     (fun (_, c) ->
@@ -338,18 +341,15 @@ let test_build_quarantine_softcore_fallback () =
   (* stage1's page compile always fails: the build must quarantine it
      and ship the -O0 softcore build for that one operator instead. *)
   let faults = injector ~tag:"build-quarantine" { Fault.empty with Fault.flaky_jobs = [ ("op:stage1", 1000) ] } in
-  let app = Build.compile ~faults ~max_retries:1 fp (pipeline 3) ~level:Build.O1 in
+  let telemetry = Telemetry.create () in
+  let app = Build.compile ~faults ~max_retries:1 ~telemetry fp (pipeline 3) ~level:Build.O1 in
   Alcotest.(check (list string)) "fallback recorded" [ "stage1" ] app.Build.report.Build.fallbacks;
   check_bool "quarantine recorded" true
     (List.mem_assoc "op:stage1" app.Build.report.Build.quarantined);
   (match List.assoc "stage1" app.Build.operators with
   | Build.Soft_page _ -> ()
   | Build.Hw_page _ -> Alcotest.fail "stage1 should have fallen back to a softcore");
-  let quarantined_events =
-    List.filter (function Pld_engine.Event.Job_quarantined _ -> true | _ -> false)
-      app.Build.report.Build.events
-  in
-  check_bool "Job_quarantined in trace" true (quarantined_events <> []);
+  check_bool "quarantine in trace" true (instants telemetry "quarantined" <> []);
   (* Degraded but correct: the mixed app still computes the answer. *)
   let r = Runner.run app ~inputs:(inputs 8) in
   Alcotest.(check (list int)) "outputs correct via fallback"

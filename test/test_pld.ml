@@ -2,6 +2,7 @@ open Pld_ir
 open Pld_core
 module Fp = Pld_fabric.Floorplan
 module N = Pld_netlist.Netlist
+module Telemetry = Pld_telemetry.Telemetry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -147,22 +148,24 @@ let test_persistent_incremental () =
   check_int "warm all hits" 6 warm.Build.report.Build.cache_hits;
   (* One-operator edit in yet another fresh process. *)
   let g' = edit_stage g "stage3" 9 in
-  let inc = Build.compile ~cache:(Build.create_cache ~dir ()) fp g' ~level:Build.O1 in
+  let telemetry = Telemetry.create () in
+  let inc = Build.compile ~cache:(Build.create_cache ~dir ()) ~telemetry fp g' ~level:Build.O1 in
   check_int "exactly one recompile" 1 inc.Build.report.Build.recompiled;
   check_int "five hits" 5 inc.Build.report.Build.cache_hits;
-  (* The per-kind trace agrees, and the hits came from the store, not
-     this process's tables. *)
-  Alcotest.(check (option (pair int int)))
-    "page kind: 5 hits, 1 miss" (Some (5, 1))
-    (List.assoc_opt Build.kind_page
-       (List.map (fun (k, h, m) -> (k, (h, m))) inc.Build.report.Build.by_kind));
+  check_int "one store write" 1 inc.Build.report.Build.stored;
+  (* The per-kind tally agrees, kinds in submission order (HLS and
+     assignment are never cached), and the hits came from the store,
+     not this process's tables. *)
+  Alcotest.(check (list (triple string int int)))
+    "by kind: 6 hls, assign, then 5 page hits + 1 miss"
+    [ ("hls", 0, 6); ("assign", 0, 1); (Build.kind_page, 5, 1) ]
+    inc.Build.report.Build.by_kind;
   check_int "hits served from disk" 5
     (List.length
        (List.filter
-          (function
-            | Pld_engine.Event.Cache_hit { source = Pld_engine.Event.Disk; _ } -> true
-            | _ -> false)
-          inc.Build.report.Build.events));
+          (fun (s : Telemetry.span) ->
+            s.Telemetry.name = "cache-hit" && List.assoc_opt "source" s.Telemetry.attrs = Some "disk")
+          (Telemetry.spans telemetry)));
   (* The artifact is current: the edited stage's bitstream differs from
      the cold build's. *)
   let page_of (app : Build.app) name =
@@ -171,7 +174,13 @@ let test_persistent_incremental () =
     | Build.Soft_page _ -> Alcotest.fail "expected hardware page"
   in
   check_bool "edited page recompiled against new source" false
-    ((page_of cold "stage3").Flow.op = (page_of inc "stage3").Flow.op)
+    ((page_of cold "stage3").Flow.op = (page_of inc "stage3").Flow.op);
+  (* Phase totals cover only recompiled jobs: the warm build ran no
+     tool phases, and the edit's phases are the one page's. *)
+  let zero = { Flow.hls = 0.0; syn = 0.0; pnr = 0.0; bitgen = 0.0; overhead = 0.0 } in
+  check_bool "warm build has no phase time" true (warm.Build.report.Build.phases = zero);
+  check_bool "edit's phases are the recompiled page's" true
+    (inc.Build.report.Build.phases = (page_of inc "stage3").Flow.times)
 
 let test_cache_stats_per_kind () =
   let cache = Build.create_cache () in
@@ -206,8 +215,11 @@ let test_executor_determinism () =
      measured simulator runtime and varies run to run, so determinism
      means the semantic payload — netlists, placements, bitstreams,
      assignment, trace structure — is bit-identical. *)
-  let build jobs = Build.compile ~cache:(Build.create_cache ()) ~jobs fp (pipeline 6) ~level:Build.O1 in
-  let a = build 1 and b = build 4 in
+  let build jobs =
+    let telemetry = Telemetry.create () in
+    (Build.compile ~cache:(Build.create_cache ()) ~jobs ~telemetry fp (pipeline 6) ~level:Build.O1, telemetry)
+  in
+  let (a, a_tele) = build 1 and (b, b_tele) = build 4 in
   let semantic (app : Build.app) =
     List.map
       (fun (name, c) ->
@@ -235,17 +247,20 @@ let test_executor_determinism () =
   check_int "same recompiles" a.Build.report.Build.recompiled b.Build.report.Build.recompiled;
   Alcotest.(check (list (triple string int int)))
     "same per-kind stats" a.Build.report.Build.by_kind b.Build.report.Build.by_kind;
-  let canonical (r : Build.report) =
+  (* Spans modulo timing, tracks (worker indices), the run id, and the
+     graph span's worker count. *)
+  let canonical tele =
     List.sort compare
       (List.filter_map
-         (fun e ->
-           match e with
-           | Pld_engine.Event.Graph_start _ -> None
-           | e -> Some (Pld_engine.Event.to_string (Pld_engine.Event.strip_timing e)))
-         r.Build.events)
+         (fun (s : Telemetry.span) ->
+           if s.Telemetry.name = "graph" then None
+           else
+             Some
+               (s.Telemetry.cat, s.Telemetry.name, s.Telemetry.dur_us = None,
+                List.filter (fun (k, _) -> k <> "run") s.Telemetry.attrs))
+         (Telemetry.spans tele))
   in
-  Alcotest.(check (list string)) "identical traces modulo timing"
-    (canonical a.Build.report) (canonical b.Build.report)
+  check_bool "identical traces modulo timing" true (canonical a_tele = canonical b_tele)
 
 let test_parallel_jobs_faster () =
   (* Paced so each job sleeps off its modeled tool time: four domains
@@ -490,6 +505,73 @@ let test_compile_time_shape () =
   let sepw = sep.Build.report.Build.parallel_seconds in
   check_bool "separate compile faster" true (sepw < o1w)
 
+
+(* ---------- the telemetry record of a build ---------- *)
+
+(* Everything a build says about itself is in its telemetry sink, so
+   that record is pinned: a digest over every span and instant
+   (category, name, clock, track, attributes) and every counter value
+   of four -j1 optical builds — cold and warm through a disk store, one
+   flaky page compile that is retried, one page compile that always
+   fails and is quarantined. Timestamps and durations vary run to run
+   and are left out, as is the process-unique "run" attribute. The
+   expected digest was recorded on an older commit; a change that
+   moves it changes what builds report. *)
+let build_trace_fingerprint tele =
+  let clock = function Telemetry.Wall -> "wall" | Telemetry.Modeled -> "modeled" in
+  let span_line (s : Telemetry.span) =
+    String.concat "|"
+      (s.Telemetry.cat :: s.Telemetry.name :: clock s.Telemetry.clock
+      :: string_of_int s.Telemetry.track
+      :: List.filter_map
+           (fun (k, v) -> if k = "run" then None else Some (k ^ "=" ^ v))
+           s.Telemetry.attrs)
+  in
+  let counters =
+    match Json.member "counters" (Telemetry.to_metrics_json tele) with
+    | Some (Json.Obj kvs) ->
+        List.map
+          (fun (k, v) ->
+            match v with
+            | Json.Int n -> Printf.sprintf "counter %s=%d" k n
+            | _ -> Alcotest.fail ("non-integer counter " ^ k))
+          kvs
+    | _ -> Alcotest.fail "metrics document has no counters"
+  in
+  List.sort compare (List.map span_line (Telemetry.spans tele)) @ List.sort compare counters
+
+let test_build_trace_pinned () =
+  let dir = ".test-store-trace-pin" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let tele = Telemetry.create () in
+  let g = (Pld_rosetta.Suite.find "optical").Pld_rosetta.Suite.graph (Graph.Hw { page_hint = None }) in
+  let build ?faults ~cache () =
+    Build.compile ~cache ~jobs:1 ?faults ~max_retries:1 ~telemetry:tele fp g ~level:Build.O1
+  in
+  let fault spec = Pld_faults.Fault.create ~seed:1 spec in
+  let cold = build ~cache:(Build.create_cache ~dir ~telemetry:tele ()) () in
+  let warm = build ~cache:(Build.create_cache ~dir ~telemetry:tele ()) () in
+  check_int "warm build is all hits" 0 warm.Build.report.Build.recompiled;
+  check_bool "cold build compiled" true (cold.Build.report.Build.recompiled > 0);
+  let flaky =
+    build
+      ~faults:(fault { Pld_faults.Fault.empty with Pld_faults.Fault.flaky_jobs = [ ("op:grad_z", 1) ] })
+      ~cache:(Build.create_cache ()) ()
+  in
+  check_bool "flaky build recovered" true (flaky.Build.report.Build.quarantined = []);
+  let broken =
+    build
+      ~faults:
+        (fault { Pld_faults.Fault.empty with Pld_faults.Fault.flaky_jobs = [ ("op:tensor_y", 1000) ] })
+      ~cache:(Build.create_cache ()) ()
+  in
+  Alcotest.(check (list string)) "broken page fell back" [ "tensor_y" ] broken.Build.report.Build.fallbacks;
+  let lines = build_trace_fingerprint tele in
+  Alcotest.(check string) "build telemetry digest" "d0fa53a4074e8b6d29231ed4519ba0a0"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+
 let suite =
   [
     ("assign: basic", `Quick, test_assign_basic);
@@ -523,4 +605,5 @@ let suite =
     ("fabric profile: heatmap smoke", `Quick, test_fabric_profile_heatmap_smoke);
     ("attribution agrees with perf model (rendering -O1)", `Slow, test_attribution_agrees_with_perf_model);
     ("compile-time shape (Tab. 2)", `Slow, test_compile_time_shape);
+    ("telemetry record of a build pinned", `Slow, test_build_trace_pinned);
   ]

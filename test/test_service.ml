@@ -317,8 +317,8 @@ let test_backoff_deterministic () =
 
 let test_percentile () =
   let samples = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "p50" 50.0 (Service.percentile samples 0.50);
-  Alcotest.(check (float 1e-9)) "p99" 99.0 (Service.percentile samples 0.99);
+  Alcotest.(check (float 1e-9)) "p50 interpolates" 50.5 (Service.percentile samples 0.50);
+  Alcotest.(check (float 1e-9)) "p99 interpolates" 99.01 (Service.percentile samples 0.99);
   Alcotest.(check (float 1e-9)) "p100" 100.0 (Service.percentile samples 1.0);
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Service.percentile [] 0.5);
   Alcotest.(check (float 1e-9)) "unsorted input" 3.0 (Service.percentile [ 3.0; 1.0; 2.0 ] 1.0)

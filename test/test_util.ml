@@ -32,15 +32,6 @@ let test_rng_split_independent () =
   let ys = List.init 20 (fun _ -> Rng.int b 1_000_000) in
   check_bool "split streams differ" true (xs <> ys)
 
-let test_rng_gaussian () =
-  let rng = Rng.create 3 in
-  let n = 20_000 in
-  let samples = List.init n (fun _ -> Rng.gaussian rng ~mu:5.0 ~sigma:2.0) in
-  let m = Stats.mean samples in
-  check_bool "mean near mu" true (Float.abs (m -. 5.0) < 0.1);
-  let s = Stats.stddev samples in
-  check_bool "stddev near sigma" true (Float.abs (s -. 2.0) < 0.1)
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 11 in
   let a = Array.init 50 Fun.id in
@@ -97,15 +88,6 @@ let test_topo_cycle () =
   | _ -> Alcotest.fail "expected Cycle"
   | exception Topo.Cycle c -> check_bool "cycle nonempty" true (c <> [])
 
-let test_topo_is_dag () =
-  check_bool "dag" true (Topo.is_dag ~n:3 ~edges:[ (0, 1); (1, 2) ]);
-  check_bool "not dag" false (Topo.is_dag ~n:2 ~edges:[ (0, 1); (1, 0) ])
-
-let test_topo_sccs () =
-  let comps = Topo.sccs ~n:5 ~edges:[ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2); (4, 4) ] in
-  let sizes = List.sort compare (List.map List.length comps) in
-  Alcotest.(check (list int)) "component sizes" [ 1; 2; 2 ] sizes
-
 let test_topo_longest_path () =
   let dist = Topo.longest_path ~n:4 ~edges:[ (0, 1, 2.0); (1, 2, 3.0); (0, 2, 4.0); (2, 3, 1.0) ] in
   Alcotest.(check (float 1e-9)) "sink distance" 6.0 dist.(3);
@@ -113,15 +95,12 @@ let test_topo_longest_path () =
 
 let test_topo_empty () =
   Alcotest.(check (list int)) "empty graph sorts to []" [] (Topo.sort ~n:0 ~edges:[]);
-  check_bool "empty graph is a dag" true (Topo.is_dag ~n:0 ~edges:[]);
-  Alcotest.(check (list (list int))) "no components" [] (Topo.sccs ~n:0 ~edges:[]);
   Alcotest.(check (list int)) "isolated vertices in order" [ 0; 1; 2 ] (Topo.sort ~n:3 ~edges:[])
 
 let test_topo_self_edge () =
   (match Topo.sort ~n:3 ~edges:[ (0, 1); (1, 1) ] with
   | _ -> Alcotest.fail "expected Cycle"
-  | exception Topo.Cycle c -> Alcotest.(check (list int)) "self-edge is its own witness" [ 1 ] c);
-  check_bool "self-edge is not a dag" false (Topo.is_dag ~n:1 ~edges:[ (0, 0) ])
+  | exception Topo.Cycle c -> Alcotest.(check (list int)) "self-edge is its own witness" [ 1 ] c)
 
 let test_topo_duplicate_edges () =
   (* A repeated edge bumps the in-degree twice; the sort must still
@@ -207,10 +186,6 @@ let test_table_render () =
   check_bool "contains header" true (String.length s > 0);
   check_bool "has separator" true (String.contains s '=')
 
-let test_table_csv () =
-  let s = Table.render_csv ~header:[ "a"; "b" ] [ [ "1"; "with,comma" ] ] in
-  check_bool "quoted comma" true (String.length s > 0 && String.contains s '"')
-
 let test_table_ragged_and_aligned () =
   (* Ragged rows pad with empty cells; Right alignment pads on the left. *)
   let s =
@@ -224,13 +199,6 @@ let test_table_ragged_and_aligned () =
     (match widths with [] -> false | w :: rest -> List.for_all (( = ) w) rest);
   check_bool "right-aligned value" true
     (List.exists (fun l -> String.length l >= 2 && contains_sub ~sub:"  7" l) lines)
-
-let test_table_csv_escaping () =
-  let s = Table.render_csv ~header:[ "a" ] [ [ "say \"hi\"" ]; [ "two\nlines" ] ] in
-  check_bool "embedded quotes doubled" true (contains_sub ~sub:"\"say \"\"hi\"\"\"" s);
-  check_bool "newline cell quoted" true (contains_sub ~sub:"\"two\nlines\"" s);
-  Alcotest.(check string) "plain cells untouched" "a,b\n1,2"
-    (Table.render_csv ~header:[ "a"; "b" ] [ [ "1"; "2" ] ])
 
 let qcheck_topo_sort_valid =
   QCheck.Test.make ~name:"topo sort respects random DAG edges" ~count:200
@@ -261,13 +229,10 @@ let suite =
     ("rng determinism", `Quick, test_rng_determinism);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng split", `Quick, test_rng_split_independent);
-    ("rng gaussian moments", `Quick, test_rng_gaussian);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
     ("rng stream pinned", `Quick, test_rng_stream_pinned);
     ("topo simple", `Quick, test_topo_simple);
     ("topo cycle detection", `Quick, test_topo_cycle);
-    ("topo is_dag", `Quick, test_topo_is_dag);
-    ("topo sccs", `Quick, test_topo_sccs);
     ("topo longest path", `Quick, test_topo_longest_path);
     ("topo empty graph", `Quick, test_topo_empty);
     ("topo self-edge rejected", `Quick, test_topo_self_edge);
@@ -282,9 +247,7 @@ let suite =
     ("digest stable", `Quick, test_digest_stable);
     ("digest combine order", `Quick, test_digest_combine);
     ("table render", `Quick, test_table_render);
-    ("table csv", `Quick, test_table_csv);
     ("table ragged rows and alignment", `Quick, test_table_ragged_and_aligned);
-    ("table csv escaping", `Quick, test_table_csv_escaping);
     QCheck_alcotest.to_alcotest qcheck_topo_sort_valid;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
   ]
