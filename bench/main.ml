@@ -821,175 +821,6 @@ let micro () =
       | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
     report
 
-(* ---------- compile-as-a-service traffic ---------- *)
-
-(* `bench service` replays a synthetic multi-tenant trace through an
-   in-process Pld_service (same code path as the pldd daemon, minus
-   the socket) and reports the latency distribution and the shared-
-   store economics. A subcommand, not an experiment: it has its own
-   flags and machine-readable output. *)
-let service_usage =
-  "usage: bench service [--sessions N] [--tenants N] [--zipf S] [--pool N]\n\
-  \                     [--max-chain N] [--level O0|O1|O3] [--seed N]\n\
-  \                     [--queue-workers N] [--jobs N] [--cache-dir DIR]\n\
-  \                     [--max-bytes N] [--out FILE]\n\n\
-   Replays N interleaved compile sessions with Zipf-distributed operator\n\
-   popularity over a shared multi-tenant artifact store and prints p50/\n\
-   p95/p99 session latency, per-tenant job counts and the cross-tenant\n\
-   hit rate. --out writes the summary JSON (machine-readable).\n"
-
-let service args =
-  let module Service = Pld_service.Service in
-  let module Traffic = Pld_service.Traffic in
-  let opts = ref Traffic.default_options in
-  let queue_workers = ref 2 in
-  let jobs = ref 1 in
-  let cache_dir = ref None in
-  let max_bytes = ref None in
-  let out = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--sessions" :: n :: rest ->
-        opts := { !opts with Traffic.sessions = int_of_string n };
-        parse rest
-    | "--tenants" :: n :: rest ->
-        opts := { !opts with Traffic.tenants = int_of_string n };
-        parse rest
-    | "--zipf" :: s :: rest ->
-        opts := { !opts with Traffic.zipf = float_of_string s };
-        parse rest
-    | "--pool" :: n :: rest ->
-        opts := { !opts with Traffic.pool = int_of_string n };
-        parse rest
-    | "--max-chain" :: n :: rest ->
-        opts := { !opts with Traffic.max_chain = int_of_string n };
-        parse rest
-    | "--level" :: s :: rest ->
-        (match Sentinel.level_of_string s with
-        | Some l -> opts := { !opts with Traffic.level = l }
-        | None ->
-            Printf.eprintf "service: unknown level %S\n" s;
-            exit 2);
-        parse rest
-    | "--seed" :: n :: rest ->
-        opts := { !opts with Traffic.seed = int_of_string n };
-        parse rest
-    | "--queue-workers" :: n :: rest ->
-        queue_workers := int_of_string n;
-        parse rest
-    | "--jobs" :: n :: rest ->
-        jobs := int_of_string n;
-        parse rest
-    | "--cache-dir" :: dir :: rest ->
-        cache_dir := Some dir;
-        parse rest
-    | "--max-bytes" :: n :: rest ->
-        max_bytes := Some (int_of_string n);
-        parse rest
-    | "--out" :: file :: rest ->
-        out := Some file;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        print_string service_usage;
-        exit 0
-    | arg :: _ ->
-        Printf.eprintf "service: unknown argument %s\n%s" arg service_usage;
-        exit 2
-  in
-  parse args;
-  let o = !opts in
-  Printf.printf "service: %d sessions, %d tenants, zipf %.2f over %d ops, %d queue workers...\n%!"
-    o.Traffic.sessions o.Traffic.tenants o.Traffic.zipf o.Traffic.pool (max 1 !queue_workers);
-  let svc =
-    Service.create ?cache_dir:!cache_dir ?max_bytes:!max_bytes ~queue_workers:!queue_workers
-      ~jobs:!jobs ()
-  in
-  let summary =
-    Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> Traffic.run ~service:svc o)
-  in
-  List.iter print_endline (Traffic.render summary);
-  print_newline ();
-  List.iter print_endline (Service.render_stats (Service.stats svc));
-  (match !out with
-  | None -> ()
-  | Some file ->
-      Pld_telemetry.Json.write_file ~pretty:true ~file (Traffic.summary_json summary);
-      Printf.printf "\nwrote %s\n" file);
-  exit (if summary.Traffic.sm_failed = 0 then 0 else 1)
-
-(* ---------- chaos harness ---------- *)
-
-(* `bench chaos` runs the seeded crash-recovery scenarios (SIGKILLed
-   store writers, corrupted entries, vanishing clients, overload with
-   wedged builds) and fails nonzero on any conservation violation. A
-   subcommand: it owns its exit code and machine-readable report. *)
-let chaos_usage =
-  "usage: bench chaos [--seed N[,N...]] [--only NAME[,NAME...]] [--dir DIR] [--out FILE]\n\n\
-   Scenarios: "
-  ^ String.concat ", " Pld_service.Chaos.scenario_names
-  ^ "\n\n\
-     Each seed runs every selected scenario; the exit code is 1 if any\n\
-     check (conservation of requests, zero corrupt reads after a kill,\n\
-     exact scrub counts, ...) is violated under any seed. --out writes\n\
-     the per-seed reports as JSON.\n"
-
-let chaos args =
-  let module Chaos = Pld_service.Chaos in
-  let seeds = ref [ 7 ] in
-  let only = ref None in
-  let dir = ref None in
-  let out = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: spec :: rest ->
-        seeds := List.map int_of_string (String.split_on_char ',' spec);
-        parse rest
-    | "--only" :: spec :: rest ->
-        only := Some (String.split_on_char ',' spec);
-        parse rest
-    | "--dir" :: d :: rest ->
-        dir := Some d;
-        parse rest
-    | "--out" :: file :: rest ->
-        out := Some file;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        print_string chaos_usage;
-        exit 0
-    | arg :: _ ->
-        Printf.eprintf "chaos: unknown argument %s\n%s" arg chaos_usage;
-        exit 2
-  in
-  parse args;
-  let reports =
-    try Chaos.run_seeds ~seeds:!seeds ?dir:!dir ?only:!only ~log:print_endline ()
-    with Invalid_argument msg ->
-      Printf.eprintf "chaos: %s\n" msg;
-      exit 2
-  in
-  List.iter
-    (fun r ->
-      Printf.printf "\n-- seed %d --\n" r.Chaos.r_seed;
-      List.iter print_endline (Chaos.render r))
-    reports;
-  (match !out with
-  | None -> ()
-  | Some file ->
-      Json.write_file ~pretty:true ~file
-        (Json.Obj
-           [
-             ("harness", Json.String "chaos");
-             ("runs", Json.List (List.map Chaos.report_json reports));
-           ]);
-      Printf.printf "\nwrote %s\n" file);
-  let violated = List.filter (fun r -> not (Chaos.ok r)) reports in
-  (match violated with
-  | [] -> Printf.printf "\nchaos: all invariants held across %d seed(s)\n" (List.length reports)
-  | _ ->
-      Printf.printf "\nchaos: INVARIANT VIOLATIONS under seed(s) %s\n"
-        (String.concat ", " (List.map (fun r -> string_of_int r.Chaos.r_seed) violated)));
-  exit (if violated = [] then 0 else 1)
-
 let all_experiments =
   [
     ("table1", table1);
@@ -1014,10 +845,6 @@ let all_experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (match args with
-  | "service" :: rest -> service rest
-  | "chaos" :: rest -> chaos rest
-  | _ -> ());
   let chosen =
     match args with
     | [] -> all_experiments

@@ -6,7 +6,9 @@
      pldc compile optical -O1          compile and report
      pldc run optical -O1              compile, deploy, link, run, check
      pldc analyze trace.json           profile + critical path of a saved trace
-     pldc baseline save / check        record / enforce a perf baseline *)
+     pldc baseline save / check        record / enforce a perf baseline
+     pldc service --sessions 1000      replay multi-tenant traffic in process
+     pldc chaos --seed 7,11,23         crash-recovery scenarios *)
 
 open Cmdliner
 module B = Pld_core.Build
@@ -1084,13 +1086,116 @@ let fuzz_cmd =
       const run $ seed_arg $ count_arg $ max_ops_arg $ max_tokens_arg $ pairs_arg $ corpus_arg
       $ json_arg $ fault_sweep_arg $ shrink_budget_arg $ incremental_arg $ steps_arg)
 
+(* ---------- in-process service harnesses ---------- *)
+
+(* The in-process services log every request to the default logger,
+   which this CLI prints to stderr: the harnesses report through their
+   own summaries instead. *)
+let quiet_service_log () = Log.set_text_sink logger None
+
+let flag kind default name docv doc = Arg.(value & opt kind default & info [ name ] ~docv ~doc)
+
+let write_json out doc =
+  Option.iter
+    (fun file ->
+      Json.write_file ~pretty:true ~file doc;
+      Printf.printf "\nwrote %s\n" file)
+    out
+
+let service_cmd =
+  let module Service = Pld_service.Service in
+  let module Traffic = Pld_service.Traffic in
+  let doc =
+    "Replay interleaved compile sessions with Zipf-distributed operator popularity over a shared \
+     multi-tenant artifact store; print p50/p95/p99 session latency, per-tenant job counts and \
+     the cross-tenant hit rate. Exits 1 if any request failed."
+  in
+  let d = Traffic.default_options in
+  let run sessions tenants zipf pool max_chain level seed queue_workers jobs cache_dir max_bytes out
+      =
+    Printf.printf "service: %d sessions, %d tenants, zipf %.2f over %d ops, %d queue workers...\n%!"
+      sessions tenants zipf pool (max 1 queue_workers);
+    quiet_service_log ();
+    let svc = Service.create ?cache_dir ?max_bytes ~queue_workers ~jobs () in
+    let summary =
+      Fun.protect
+        ~finally:(fun () -> Service.shutdown svc)
+        (fun () ->
+          Traffic.run ~service:svc
+            { Traffic.sessions; tenants; zipf; pool; max_chain; level; seed })
+    in
+    List.iter print_endline (Traffic.render summary);
+    print_newline ();
+    List.iter print_endline (Service.render_stats (Service.stats svc));
+    write_json out (Traffic.summary_json summary);
+    if summary.Traffic.sm_failed > 0 then exit 1
+  in
+  Cmd.v (Cmd.info "service" ~doc)
+    Term.(
+      const run
+      $ flag Arg.int d.Traffic.sessions "sessions" "N" "Compile requests to issue."
+      $ flag Arg.int d.Traffic.tenants "tenants" "N" "Tenants, round-robin."
+      $ flag Arg.float d.Traffic.zipf "zipf" "S" "Popularity skew exponent."
+      $ flag Arg.int d.Traffic.pool "pool" "N" "Distinct operators."
+      $ flag Arg.int d.Traffic.max_chain "max-chain" "N" "Most operators per session graph."
+      $ level_arg
+      $ flag Arg.int d.Traffic.seed "seed" "N" "Traffic seed."
+      $ flag Arg.int 2 "queue-workers" "N" "Service worker domains."
+      $ flag Arg.int 1 "jobs" "N" "Executor domains per build."
+      $ cache_dir_arg
+      $ flag Arg.(some int) None "max-bytes" "N" "Store LRU budget."
+      $ flag Arg.(some string) None "out" "FILE" "Write the summary JSON (machine-readable).")
+
+let chaos_cmd =
+  let module Chaos = Pld_service.Chaos in
+  let doc =
+    "Run the seeded crash-recovery scenarios (" ^ String.concat ", " Chaos.scenario_names
+    ^ ") under every seed. Exits 1 if any check (conservation of requests, zero corrupt reads \
+       after a kill, exact scrub counts, ...) is violated under any seed."
+  in
+  let run seeds only dir out =
+    quiet_service_log ();
+    let reports =
+      try Chaos.run_seeds ~seeds ?dir ?only ~log:print_endline ()
+      with Invalid_argument msg ->
+        Printf.eprintf "chaos: %s\n" msg;
+        exit 2
+    in
+    List.iter
+      (fun r ->
+        Printf.printf "\n-- seed %d --\n" r.Chaos.r_seed;
+        List.iter print_endline (Chaos.render r))
+      reports;
+    write_json out
+      (Json.Obj
+         [ ("harness", Json.String "chaos"); ("runs", Json.List (List.map Chaos.report_json reports)) ]);
+    match List.filter (fun r -> not (Chaos.ok r)) reports with
+    | [] -> Printf.printf "\nchaos: all invariants held across %d seed(s)\n" (List.length reports)
+    | violated ->
+        Printf.printf "\nchaos: INVARIANT VIOLATIONS under seed(s) %s\n"
+          (String.concat ", " (List.map (fun r -> string_of_int r.Chaos.r_seed) violated));
+        exit 1
+  in
+  Cmd.v (Cmd.info "chaos" ~doc)
+    Term.(
+      const run
+      $ flag Arg.(list int) [ 7 ] "seed" "N[,N...]" "Seeds to run."
+      $ flag Arg.(some (list string)) None "only" "NAME[,NAME...]" "Run only these scenarios."
+      $ flag Arg.(some string) None "dir" "DIR" "Scratch directory."
+      $ flag Arg.(some string) None "out" "FILE" "Write the per-seed reports as JSON.")
+
 let () =
   let doc = "PLD: partition, link and load applications on programmable logic devices (simulated)" in
   let info = Cmd.info "pldc" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; floorplan_cmd; source_cmd; compile_cmd; run_cmd; profile_cmd; cache_cmd;
-            analyze_cmd; baseline_cmd; fuzz_cmd; status_cmd; top_cmd; metrics_cmd; health_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           list_cmd; floorplan_cmd; source_cmd; compile_cmd; run_cmd; profile_cmd; cache_cmd;
+           analyze_cmd; baseline_cmd; fuzz_cmd; status_cmd; top_cmd; metrics_cmd; health_cmd;
+           service_cmd; chaos_cmd;
+         ])
+  in
+  (* Bad arguments exit 2, as [die ~code:2] does for values cmdliner
+     cannot check. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

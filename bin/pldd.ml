@@ -32,7 +32,7 @@ open Pld_rosetta
 let hw = Pld_ir.Graph.Hw { page_hint = None }
 
 (* A bench name is either a Rosetta application or a synthetic
-   traffic chain ("svc-3x0x7") — the same namespace `bench service`
+   traffic chain ("svc-3x0x7") — the same namespace `pldc service`
    draws from, so clients can replay its workload. Rosetta benches
    carry their own (rate-correct) workloads; traffic chains are
    rate-1 so a ramp is always safe. *)

@@ -333,7 +333,7 @@ let scenario_overload ~seed ~root:_ _log =
     let open Service in
     let accounted =
       st.st_completed + st.st_failed + st.st_deadline_exceeded + st.st_lost + st.st_queue_depth
-      + st.st_in_flight
+      + st.st_in_flight + st.st_following
     in
     push lg
       (name ^ ": every admitted request is accounted for")
@@ -343,7 +343,7 @@ let scenario_overload ~seed ~root:_ _log =
   (* a. A wedged build trips the watchdog: the job is written off as
      Lost and a replacement worker keeps the pool serving. *)
   let fa = Fault.create ~seed (Fault.parse_exn "hang=svc-9@500") in
-  let svc = Service.create ~queue_workers:1 ~watchdog_timeout_s:0.12 ~watchdog_tick_s:0.01 ~faults:fa ~telemetry:tele () in
+  let svc = Service.create ~queue_workers:1 ~watchdog_timeout_s:0.12 ~faults:fa ~telemetry:tele () in
   (match Service.compile svc ~tenant:"chaos" (chain [ 9 ]) with
   | Error (Service.Lost _) -> pushb lg "watchdog writes off the wedged build" true
   | Ok _ -> push lg "watchdog writes off the wedged build" false "completed instead"
@@ -360,7 +360,7 @@ let scenario_overload ~seed ~root:_ _log =
      everything queued behind it with a 50 ms budget expires from the
      queue, the blocker itself still completes. *)
   let fb = Fault.create ~seed (Fault.parse_exn "hang=svc-8@300") in
-  let svc = Service.create ~queue_workers:1 ~watchdog_tick_s:0.01 ~faults:fb ~telemetry:tele () in
+  let svc = Service.create ~queue_workers:1 ~faults:fb ~telemetry:tele () in
   let blocker =
     match Service.submit svc ~tenant:"chaos" (chain [ 8 ]) with
     | Ok tk -> Some tk
@@ -403,7 +403,7 @@ let scenario_overload ~seed ~root:_ _log =
      runs out but wedges for 250 ms; expiry fires at the next
      tool-phase boundary. *)
   let fc = Fault.create ~seed (Fault.parse_exn "hang=svc-7@250") in
-  let svc = Service.create ~queue_workers:1 ~watchdog_tick_s:0.01 ~faults:fc ~telemetry:tele () in
+  let svc = Service.create ~queue_workers:1 ~faults:fc ~telemetry:tele () in
   (match Service.compile svc ~tenant:"chaos" ~deadline_ms:80 (chain [ 7 ]) with
   | Error (Service.Deadline_exceeded { stage = "build"; _ }) ->
       pushb lg "mid-build deadline fires at a tool-phase boundary" true
@@ -419,7 +419,7 @@ let scenario_overload ~seed ~root:_ _log =
   let shed =
     { Service.sp_max_delay_s = 0.2; Service.sp_exempt_priority = 50; Service.sp_assumed_build_s = 1.0 }
   in
-  let svc = Service.create ~queue_workers:1 ~watchdog_tick_s:0.01 ~shed ~faults:fd ~telemetry:tele () in
+  let svc = Service.create ~queue_workers:1 ~shed ~faults:fd ~telemetry:tele () in
   let blocker =
     match Service.submit svc ~tenant:"chaos" (chain [ 6 ]) with Ok tk -> Some tk | Error _ -> None
   in

@@ -1,4 +1,4 @@
-(** Seeded crash-recovery harness ([bench chaos]).
+(** Seeded crash-recovery harness ([pldc chaos]).
 
     Each scenario injects one failure class and asserts the
     conservation invariants that make the service trustworthy under

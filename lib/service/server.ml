@@ -60,7 +60,7 @@ let handle t ~resolve (e : Protocol.envelope) =
   | Protocol.Ping ->
       Protocol.reply_ok ~id
         (Json.Obj [ ("pong", Json.Bool true); ("draining", Json.Bool (draining t)) ])
-  | Protocol.Stats -> Protocol.reply_ok ~id (Service.stats_json (Service.stats t.sv_service))
+  | Protocol.Stats -> Protocol.reply_ok ~id (Service.stats_json t.sv_service)
   | Protocol.Status -> Protocol.reply_ok ~id (Service.status_json t.sv_service)
   | Protocol.Health -> Protocol.reply_ok ~id (Service.health_json t.sv_service)
   | Protocol.Metrics ->

@@ -12,7 +12,7 @@
     shared cache: every operator is a link-time hit, so nothing is
     re-synthesized. Both paths are visible in {!outcome} and {!stats}
     as dedup and cross-tenant hit counts — the cache economics the
-    daemon and [bench service] report.
+    daemon and [pldc service] report.
 
     Thread-safety: every function on {!t} may be called from any
     domain. *)
@@ -20,62 +20,19 @@
 open Pld_ir
 open Pld_core
 
-type quota = {
-  max_in_flight : int;  (** concurrent running jobs per tenant *)
-  max_queued : int;  (** admitted-but-not-running jobs per tenant *)
-  cache_write_budget : int option;
-      (** store writes the tenant may cause; once spent, its builds run
-          against {!Build.readonly_view} (reads still shared). [None]
-          is unlimited. *)
-}
+(** {2 Requests, refusals and quotas}
 
-val default_quota : quota
-(** 4 in flight, 64 queued, unlimited writes. *)
+    The request vocabulary is the policy core's ({!Policy.Terms}),
+    re-exported here. Admission refusals ([Queue_full], [Shed],
+    [Draining]) are returned by {!submit}; terminal job errors
+    ([Deadline_exceeded], [Lost], [Build_failed]) come back from
+    {!await}. Each class has its own counter in {!stats}, so issued
+    requests are conserved: [submitted = completed + failed +
+    deadline_exceeded + lost + queued + in_flight + following]. *)
 
-(** Structured refusals and failures. Admission refusals ([Queue_full],
-    [Shed], [Draining]) are returned by {!submit} and never become job
-    states; terminal job errors ([Deadline_exceeded], [Lost],
-    [Build_failed]) come back from {!await}. Each class has its own
-    counter in {!stats}, so issued requests are conserved:
-    [submitted = completed + failed + deadline_exceeded + lost +
-    queued + in_flight]. *)
-type reject =
-  | Queue_full of { tenant : string; queued : int; max_queued : int }
-  | Shed of { retry_after_ms : int; reason : string }
-      (** Load shedding: the estimated queue delay exceeded the shed
-          policy's budget. [retry_after_ms] hints when to come back. *)
-  | Deadline_exceeded of { stage : string; overrun_ms : int }
-      (** The request's [deadline_ms] passed while [stage] (["queued"]
-          or ["build"]). Mid-build expiry fires at the next tool-phase
-          boundary. *)
-  | Draining of string  (** the service is draining or shut down *)
-  | Lost of string
-      (** the build was written off: watchdog kill, shutdown orphan, or
-          an {!await} bound expired *)
-  | Build_failed of string  (** the compile itself raised *)
-
-val reject_message : reject -> string
-
-val reject_state : reject -> string
-(** Wire-state tag: [QUEUE_FULL], [SHED], [DEADLINE_EXCEEDED],
-    [DRAINING], [LOST] or [FAILED]. *)
-
-val reject_retry_after_ms : reject -> int option
-(** A backoff hint for the transient classes ([Shed] carries its own
-    estimate; [Queue_full]/[Draining] a nominal one); [None] for the
-    terminal classes, which a retry cannot fix. *)
-
-(** Overload shedding: refuse work whose estimated queue delay (pending
-    jobs at or above its priority plus running builds, amortized over
-    the worker pool at the EWMA build time) exceeds the budget. *)
-type shed_policy = {
-  sp_max_delay_s : float;  (** estimated-delay budget *)
-  sp_exempt_priority : int;  (** priority at or above this is never shed *)
-  sp_assumed_build_s : float;  (** EWMA seed before any build finished *)
-}
-
-val default_shed_policy : shed_policy
-(** 30 s budget, exempt priority 100, 50 ms assumed build. *)
+include module type of struct
+  include Policy.Terms
+end
 
 type t
 
@@ -94,7 +51,6 @@ val create :
   ?quotas:(string * quota) list ->
   ?shed:shed_policy ->
   ?watchdog_timeout_s:float ->
-  ?watchdog_tick_s:float ->
   ?faults:Pld_faults.Fault.t ->
   ?telemetry:Pld_telemetry.Telemetry.t ->
   ?logger:Pld_telemetry.Log.t ->
@@ -113,7 +69,7 @@ val create :
 
     [shed] (default: no shedding) enables overload shedding. A
     watchdog domain always runs (it expires queued deadlines and
-    paces timed waits at [watchdog_tick_s], default 10 ms); with
+    paces timed waits on a 10 ms tick); with
     [watchdog_timeout_s] it additionally writes off any build running
     longer than the limit — the job fails as {!Lost}, a replacement
     worker is spawned, and the wedged worker is quarantined until its
@@ -126,23 +82,6 @@ val create :
     and dispatches at [Debug], refusals and failures at [Warn], and
     watchdog kills at [Error] — the level that trips an armed flight
     recorder. *)
-
-type outcome = {
-  o_tenant : string;
-  o_graph : string;
-  o_level : Build.level;
-  o_cache_hits : int;
-  o_recompiled : int;
-  o_store_writes : int;  (** store puts this build caused *)
-  o_deduped : bool;  (** piggybacked on an identical in-flight job *)
-  o_cross_tenant : bool;
-      (** served from another tenant's work: deduped onto it, or
-          recompiled nothing because it was already in the cache *)
-  o_queue_seconds : float;  (** admission to dispatch *)
-  o_build_seconds : float;  (** dispatch to completion *)
-  o_latency_seconds : float;  (** admission to completion *)
-  o_app : Build.app;
-}
 
 val outcome_json : outcome -> Pld_telemetry.Json.t
 (** Everything except [o_app] — what the daemon sends back. *)
@@ -222,9 +161,12 @@ type stats = {
   st_watchdog_kills : int;  (** wedged builds written off *)
   st_deduped : int;
   st_cross_hits : int;
-  st_queue_depth : int;
-  st_in_flight : int;
-  st_latencies : float list;  (** seconds, completion order *)
+  st_queue_depth : int;  (** primaries waiting for a worker *)
+  st_in_flight : int;  (** primaries running *)
+  st_following : int;  (** dedup followers waiting on a queued or running primary *)
+  st_latency_buckets : (float * int) list;
+      (** completion latency, every tenant's buckets merged, in the
+          [(upper_edge, count)] shape of {!Pld_telemetry.Quantile.of_buckets} *)
   st_tenants : tenant_stats list;  (** sorted by tenant name *)
   st_store : Pld_engine.Store.stats option;
 }
@@ -236,7 +178,12 @@ val percentile : float list -> float -> float
     {!Pld_util.Stats.percentile} (linear interpolation between order
     statistics); 0 for an empty list. *)
 
-val stats_json : stats -> Pld_telemetry.Json.t
+val stats_json : t -> Pld_telemetry.Json.t
+(** The [Stats] wire verb's document: the global counts, queue levels,
+    latency p50/p95/p99 (bucket estimates over every tenant,
+    {!Pld_telemetry.Quantile.of_buckets}), one entry per tenant — the
+    same entries {!status_json} lists — and the store's stats. *)
+
 val render_stats : stats -> string list
 
 val status_json : t -> Pld_telemetry.Json.t

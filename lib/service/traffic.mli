@@ -1,4 +1,4 @@
-(** Synthetic multi-tenant traffic: the workload behind [bench service]
+(** Synthetic multi-tenant traffic: the workload behind [pldc service]
     and the service tier of the regression sentinel.
 
     Sessions draw operator chains from a fixed pool with Zipf-

@@ -170,19 +170,20 @@ let test_determinism () =
     b.Pld_pnr.Pnr.bitstream.Pld_pnr.Bitgen.crc
 
 let test_superlinear_runtime () =
-  (* The heart of the paper: P&R time grows super-linearly, so small
-     page compiles are disproportionately cheaper. *)
+  (* The heart of the paper: P&R effort grows super-linearly, so small
+     page compiles are disproportionately cheaper. Effort is counted in
+     annealing moves evaluated, which a fixed seed makes exact. *)
   let fp = Floorplan.u50 () in
-  let small = small_netlist 12 11 in
-  let big = small_netlist 120 11 in
   let region = fp.Floorplan.l1_region in
-  let t_small =
-    (Pld_pnr.Pnr.implement ~device:fp.Floorplan.device ~region small).Pld_pnr.Pnr.place.Pld_pnr.Place.seconds
+  let moves nl =
+    (Pld_pnr.Pnr.implement ~device:fp.Floorplan.device ~region nl).Pld_pnr.Pnr.place
+      .Pld_pnr.Place.moves_evaluated
   in
-  let t_big =
-    (Pld_pnr.Pnr.implement ~device:fp.Floorplan.device ~region big).Pld_pnr.Pnr.place.Pld_pnr.Place.seconds
-  in
-  check_bool "10x cells -> >15x time" true (t_big > 15.0 *. t_small)
+  let m_small = moves (small_netlist 12 11) and m_big = moves (small_netlist 120 11) in
+  check_bool
+    (Printf.sprintf "10x cells -> >15x moves (%d vs %d)" m_big m_small)
+    true
+    (m_big > 15 * m_small)
 
 (* ---------- incremental & multi-seed P&R ---------- *)
 

@@ -236,7 +236,7 @@ let test_deadline_expires_mid_build () =
 
 let test_watchdog_replaces_wedged_worker () =
   let svc =
-    Service.create ~queue_workers:1 ~jobs:1 ~watchdog_timeout_s:0.12 ~watchdog_tick_s:0.01
+    Service.create ~queue_workers:1 ~jobs:1 ~watchdog_timeout_s:0.12
       ~faults:(faults "hang=svc-9@500") ()
   in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
@@ -440,7 +440,7 @@ let test_watchdog_kill_trips_flight_recorder () =
       Log.arm_flight logger ~telemetry:tele ~file ();
       let svc =
         Service.create ~queue_workers:1 ~jobs:1 ~telemetry:tele ~logger
-          ~watchdog_timeout_s:0.12 ~watchdog_tick_s:0.01 ~faults:(faults "hang=svc-9@500") ()
+          ~watchdog_timeout_s:0.12 ~faults:(faults "hang=svc-9@500") ()
       in
       Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
       (match Service.compile svc ~tenant:"t" (chain [ 9 ]) with
@@ -609,6 +609,339 @@ let test_profile_wire_verb () =
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Thread.join server
 
+(* ---------- the conservation law counts waiting followers ---------- *)
+
+let test_conservation_counts_waiting_followers () =
+  let svc = Service.create ~queue_workers:1 ~jobs:1 ~faults:(faults "hang=svc-8@300") () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
+  let conserved what =
+    let st = Service.stats svc in
+    check_int what st.Service.st_submitted
+      (st.Service.st_completed + st.Service.st_failed + st.Service.st_deadline_exceeded
+     + st.Service.st_lost + st.Service.st_queue_depth + st.Service.st_in_flight
+     + st.Service.st_following)
+  in
+  let primary = ok_exn (Service.submit svc ~tenant:"alice" (chain [ 8 ])) in
+  check_bool "primary dispatched" true
+    (wait_until (fun () -> (Service.stats svc).Service.st_in_flight = 1));
+  let follower = ok_exn (Service.submit svc ~tenant:"bob" (chain [ 8 ])) in
+  check_int "one follower waiting" 1 (Service.stats svc).Service.st_following;
+  conserved "conserved while the follower waits";
+  ignore (ok_exn (Service.await svc primary));
+  check_bool "follower deduped" true (ok_exn (Service.await svc follower)).Service.o_deduped;
+  check_int "no follower left waiting" 0 (Service.stats svc).Service.st_following;
+  conserved "conserved once both settled"
+
+(* ---------- the policy core under random input sequences ---------- *)
+
+module Policy = Pld_service.Policy
+
+type op =
+  | Submit of { tenant : int; key : int; priority : int; deadline_ms : int option }
+  | Dispatch
+  | Finish of { pick : int; ok : bool }
+  | Tick
+  | Stall  (* advance past the watchdog limit, then tick *)
+  | Drain
+  | Shutdown
+
+let show_op = function
+  | Submit { tenant; key; priority; deadline_ms } ->
+      Printf.sprintf "submit(t%d,k%d,p%d,%s)" tenant key priority
+        (match deadline_ms with Some ms -> string_of_int ms | None -> "-")
+  | Dispatch -> "dispatch"
+  | Finish { pick; ok } -> Printf.sprintf "finish(%d,%b)" pick ok
+  | Tick -> "tick"
+  | Stall -> "stall"
+  | Drain -> "drain"
+  | Shutdown -> "shutdown"
+
+let gen_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 16,
+        map
+          (fun (tenant, key, priority, deadline_ms) -> Submit { tenant; key; priority; deadline_ms })
+          (quad (int_bound 2) (int_bound 3) (int_bound 2)
+             (frequency [ (3, return None); (1, map Option.some (int_range 5 60)) ])) );
+      (10, return Dispatch);
+      ( 8,
+        map
+          (fun (pick, ok) -> Finish { pick; ok })
+          (pair (int_bound 7) (frequency [ (4, return true); (1, return false) ])) );
+      (6, return Tick);
+      (2, return Stall);
+      (1, return Drain);
+      (1, return Shutdown);
+    ]
+
+let core_quota = { Service.max_in_flight = 1; max_queued = 2; cache_write_budget = None }
+let core_shed = { Service.sp_max_delay_s = 0.05; sp_exempt_priority = 2; sp_assumed_build_s = 0.1 }
+
+(* One real build result, reused for every successful finish: the core
+   only reads its report. *)
+let core_app =
+  lazy
+    (Build.compile ~jobs:1 ~telemetry:(T.create ()) (Pld_fabric.Floorplan.u50 ()) (chain [ 0 ])
+       ~level:Build.O1)
+
+let core_graphs = Array.init 4 (fun k -> chain [ k ])
+
+let run_core ops =
+  let core =
+    Policy.create ~queue_workers:2 ~default_quota:core_quota
+      ~quotas:[ ("t1", { core_quota with Service.max_in_flight = 2 }) ]
+      ~shed:core_shed ~watchdog_timeout_s:0.5 ()
+  in
+  let now = ref 0.0 and in_worker = ref [] and followers = ref [] and refusing = ref false in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let live (j : Policy.job) =
+    match j.Policy.j_state with Policy.Queued | Policy.Running -> true | Policy.Finished _ -> false
+  in
+  let check_ledger who (l : Policy.ledger) =
+    let accounted =
+      l.Policy.completed + l.Policy.failed + l.Policy.deadline_exceeded + l.Policy.lost
+      + l.Policy.queued + l.Policy.in_flight + l.Policy.following
+    in
+    if l.Policy.submitted <> accounted then
+      fail "%s: submitted %d, accounted %d" who l.Policy.submitted accounted
+  in
+  let invariants () =
+    let total = core.Policy.total and pending = core.Policy.pending in
+    let running = Policy.running core in
+    check_ledger "total" total;
+    List.iter
+      (fun (tn : Policy.tenant) ->
+        let l = tn.Policy.tn_ledger and q = tn.Policy.tn_quota in
+        check_ledger tn.Policy.tn_name l;
+        if l.Policy.queued > q.Service.max_queued then fail "%s over max_queued" tn.Policy.tn_name;
+        if l.Policy.in_flight > q.Service.max_in_flight then
+          fail "%s over max_in_flight" tn.Policy.tn_name)
+      (Policy.tenants core);
+    if total.Policy.queued <> List.length pending then fail "queued level off the queue";
+    if total.Policy.in_flight <> List.length running then fail "in_flight level off the workers";
+    let primaries = pending @ running in
+    let keys = List.sort_uniq compare (List.map (fun (j : Policy.job) -> j.Policy.j_key) primaries) in
+    if List.length keys <> List.length primaries then fail "two live primaries share a key";
+    let waiting = List.filter live !followers in
+    if total.Policy.following <> List.length waiting then fail "following level off the followers";
+    List.iter
+      (fun (f : Policy.job) ->
+        match f.Policy.j_primary with
+        | Some p when live p && List.memq f p.Policy.j_followers -> ()
+        | _ -> fail "follower %d waits on a settled primary" f.Policy.j_id)
+      waiting
+  in
+  let step input = Policy.step core ~now:!now input in
+  List.iter
+    (fun (dt_ms, op) ->
+      now := !now +. (float_of_int dt_ms /. 1000.0);
+      (match op with
+      | Submit { tenant; key; priority; deadline_ms } -> (
+          let tenant = Printf.sprintf "t%d" tenant in
+          let effects =
+            step
+              (Policy.Submit
+                 {
+                   tenant;
+                   priority;
+                   graph = core_graphs.(key);
+                   level = Build.O1;
+                   trace = "trace";
+                   deadline_ms;
+                 })
+          in
+          let verdicts =
+            List.filter_map
+              (function
+                | Policy.Admitted j -> Some (Ok j)
+                | Policy.Joined j ->
+                    followers := j :: !followers;
+                    Some (Ok j)
+                | Policy.Refused { reject; _ } -> Some (Error reject)
+                | _ -> None)
+              effects
+          in
+          match verdicts with
+          | [ Error (Service.Draining _) ] -> ()
+          | [ _ ] when !refusing -> fail "submit admitted while draining"
+          | [ Error (Service.Shed _) ] when priority >= core_shed.Service.sp_exempt_priority ->
+              fail "exempt priority %d shed" priority
+          | [ _ ] -> ()
+          | _ -> fail "submit gave %d verdicts" (List.length verdicts))
+      | Dispatch -> (
+          let alive (j : Policy.job) =
+            match j.Policy.j_deadline with Some d -> not (!now > d) | None -> true
+          in
+          let eligible (j : Policy.job) =
+            List.exists
+              (fun (tn : Policy.tenant) ->
+                tn.Policy.tn_name = j.Policy.j_tenant
+                && tn.Policy.tn_ledger.Policy.in_flight < tn.Policy.tn_quota.Service.max_in_flight)
+              (Policy.tenants core)
+          in
+          let expected =
+            if core.Policy.stopping then None
+            else
+              List.fold_left
+                (fun best (j : Policy.job) ->
+                  match best with
+                  | Some (b : Policy.job) when b.Policy.j_priority >= j.Policy.j_priority -> best
+                  | _ -> Some j)
+                None
+                (List.filter (fun j -> alive j && eligible j) (core.Policy.pending))
+          in
+          let picked =
+            List.filter_map
+              (function Policy.Dispatched { job; _ } -> Some job | _ -> None)
+              (step Policy.Dispatch)
+          in
+          match (picked, expected) with
+          | [], None -> ()
+          | [ j ], Some e when j == e ->
+              (match j.Policy.j_deadline with
+              | Some d when !now > d -> fail "job %d dispatched after its deadline" j.Policy.j_id
+              | _ -> ());
+              in_worker := !in_worker @ [ j ]
+          | [ j ], _ -> fail "dispatched job %d, not the best eligible one" j.Policy.j_id
+          | [], Some e -> fail "job %d eligible but nothing dispatched" e.Policy.j_id
+          | _ -> fail "one dispatch started several jobs")
+      | Finish { pick; ok } -> (
+          match !in_worker with
+          | [] -> ()
+          | js ->
+              let j = List.nth js (pick mod List.length js) in
+              in_worker := List.filter (fun x -> x != j) js;
+              let result = if ok then Ok (Lazy.force core_app) else Error (Failure "injected") in
+              let was_live = live j in
+              let late =
+                List.exists
+                  (function Policy.Late _ -> true | _ -> false)
+                  (step (Policy.Finish { job = j; result }))
+              in
+              if late = was_live then fail "late return misreported for job %d" j.Policy.j_id)
+      | Tick -> ignore (step Policy.Tick)
+      | Stall ->
+          now := !now +. 1.0;
+          ignore (step Policy.Tick)
+      | Drain ->
+          refusing := true;
+          ignore (step Policy.Drain)
+      | Shutdown ->
+          refusing := true;
+          ignore (step Policy.Shutdown));
+      invariants ())
+    ops;
+  true
+
+let prop_core_invariants =
+  QCheck.Test.make ~name:"service core: invariants hold after every step" ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " " (List.map (fun (dt, op) -> Printf.sprintf "+%d %s" dt (show_op op)) ops))
+       QCheck.Gen.(list_size (int_range 1 80) (pair (int_bound 12) gen_op)))
+    run_core
+
+(* ---------- the service's observable record, pinned ---------- *)
+
+(* One scenario touching every lifecycle path — a cold build, a
+   cross-tenant dedup follower, a queued deadline expiry behind a
+   wedged blocker, a shed refusal and a watchdog kill — digested as the
+   sorted (cat, name, attrs) of every span and instant, every counter
+   value and every log event's (level, sub, msg, fields). What depends
+   on timing or on earlier tests is left out: the executor's
+   process-wide [run] sequence number, the [*_s] log fields, and digits
+   in log messages (overrun milliseconds, delay estimates). The digest
+   was recorded before the service was split into a policy core and a
+   threaded shell; the split must leave the record unchanged. *)
+let pinned_record_digest = "e99c03c57c15f03e1f0da8bbb6d20aff"
+
+let service_record_digest () =
+  let tele = T.create () in
+  let logger = Log.create ~level:Log.Debug () in
+  let shed =
+    { Service.sp_max_delay_s = 0.2; sp_exempt_priority = 50; sp_assumed_build_s = 1.0 }
+  in
+  let svc =
+    Service.create ~queue_workers:1 ~jobs:1 ~shed ~telemetry:tele ~logger
+      ~faults:(faults "hang=svc-41@300,hang=svc-42@300") ()
+  in
+  (* Cold build. *)
+  let cold = ok_exn (Service.compile svc ~tenant:"alice" ~trace_id:"pin-cold" (chain [ 40 ])) in
+  check_bool "cold build recompiles" true (cold.Service.o_recompiled > 0);
+  (* A second tenant joins a wedged primary. *)
+  let primary = ok_exn (Service.submit svc ~tenant:"alice" ~trace_id:"pin-primary" (chain [ 41 ])) in
+  let follower = ok_exn (Service.submit svc ~tenant:"bob" ~trace_id:"pin-follower" (chain [ 41 ])) in
+  ignore (ok_exn (Service.await svc primary));
+  check_bool "follower deduped" true (ok_exn (Service.await svc follower)).Service.o_deduped;
+  (* A wedged blocker: an exempt job queued behind it expires in place,
+     a low-priority one is shed. *)
+  let blocker = ok_exn (Service.submit svc ~tenant:"alice" ~trace_id:"pin-blocker" (chain [ 42 ])) in
+  check_bool "blocker dispatched" true
+    (wait_until (fun () -> (Service.stats svc).Service.st_in_flight = 1));
+  let doomed =
+    ok_exn
+      (Service.submit svc ~tenant:"alice" ~priority:50 ~deadline_ms:50 ~trace_id:"pin-doomed"
+         (chain [ 43 ]))
+  in
+  (match Service.submit svc ~tenant:"mob" ~trace_id:"pin-shed" (chain [ 44 ]) with
+  | Error (Service.Shed _) -> ()
+  | _ -> Alcotest.fail "expected a shed refusal");
+  (match Service.await svc doomed with
+  | Error (Service.Deadline_exceeded { stage = "queued"; _ }) -> ()
+  | _ -> Alcotest.fail "expected a queued deadline expiry");
+  ignore (ok_exn (Service.await svc blocker));
+  Service.shutdown svc;
+  (* A watchdog kill, in a second service on the same sink and logger. *)
+  let svc =
+    Service.create ~queue_workers:1 ~jobs:1 ~telemetry:tele ~logger ~watchdog_timeout_s:0.12
+      ~faults:(faults "hang=svc-45@500") ()
+  in
+  (match Service.compile svc ~tenant:"carol" ~trace_id:"pin-wedged" (chain [ 45 ]) with
+  | Error (Service.Lost _) -> ()
+  | _ -> Alcotest.fail "expected a watchdog kill");
+  Service.shutdown svc;
+  let attrs kvs =
+    List.filter (fun (k, _) -> k <> "run") kvs
+    |> List.map (fun (k, v) -> k ^ "=" ^ v)
+    |> String.concat ","
+  in
+  let spans =
+    List.map
+      (fun (s : T.span) -> Printf.sprintf "span %s %s %s" s.T.cat s.T.name (attrs s.T.attrs))
+      (T.spans tele)
+  in
+  let counters =
+    match Json.member "counters" (T.to_metrics_json tele) with
+    | Some (Json.Obj cs) ->
+        List.map (fun (k, v) -> Printf.sprintf "counter %s %s" k (Json.to_string v)) cs
+    | _ -> Alcotest.fail "metrics have no counters"
+  in
+  let mask_digits =
+    String.map (fun c -> if c >= '0' && c <= '9' then '#' else c)
+  in
+  let events =
+    List.map
+      (fun (e : Log.event) ->
+        Printf.sprintf "log %s %s %s %s" (Log.level_name e.Log.ev_level) e.Log.ev_sub
+          (mask_digits e.Log.ev_msg)
+          (attrs
+             (List.filter
+                (fun (k, _) -> not (String.ends_with ~suffix:"_s" k))
+                e.Log.ev_fields)))
+      (Log.events logger)
+  in
+  let lines = List.sort compare (spans @ counters @ events) in
+  (Digest.to_hex (Digest.string (String.concat "\n" lines)), lines)
+
+let test_observable_record_pinned () =
+  let digest, lines = service_record_digest () in
+  if not (String.equal digest pinned_record_digest) then begin
+    List.iter prerr_endline lines;
+    Alcotest.failf "service record digest %s, pinned %s" digest pinned_record_digest
+  end
+
 let suite =
   [
     ("session: compile, cache, link, run, close", `Quick, test_session_compile_link_run);
@@ -630,4 +963,8 @@ let suite =
     ("status: live introspection documents", `Quick, test_status_and_health_json);
     ("profile: travels with the shared artifact", `Quick, test_profile_travels_with_artifact);
     ("profile: wire verb serves persisted document", `Slow, test_profile_wire_verb);
+    ("service: observable record pinned", `Slow, test_observable_record_pinned);
+    ("service: conservation counts waiting followers", `Slow, test_conservation_counts_waiting_followers);
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 15 |])
+      prop_core_invariants;
   ]
