@@ -12,7 +12,6 @@
 open Pld_rosetta
 module B = Pld_core.Build
 module R = Pld_core.Runner
-module Sentinel = Pld_insight.Sentinel
 module Fp = Pld_fabric.Floorplan
 module N = Pld_netlist.Netlist
 module Table = Pld_util.Table
@@ -684,11 +683,12 @@ let scaling () =
 
 (* ---------- machine-readable export ---------- *)
 
-(* BENCH_<suite>.json: every number the tables print, but parseable —
-   per benchmark and level the phase breakdown, modeled serial/cluster
-   and measured wall compile times, cache traffic, and the frame-rate
-   model's verdict. CI archives it so the perf trajectory is diffable
-   across commits. *)
+(* BENCH_<suite>.json: per benchmark and level the compile-time
+   model's phase breakdown and serial/cluster seconds, cache traffic,
+   and the frame-rate model's verdict. It carries no wall-clock
+   measurement of a compile or a host run: measured seconds belong to
+   the perf/ harness. CI archives it so the model's trajectory is
+   diffable across commits. *)
 let export_json () =
   section "Export: machine-readable benchmark results (BENCH_rosetta.json)";
   let level_entry r (level, (app : B.app)) =
@@ -696,25 +696,12 @@ let export_json () =
     let p = rep.B.phases in
     let run = List.assoc level r.runs in
     let jobs_total = rep.B.cache_hits + rep.B.recompiled in
-    (* Monolithic levels expose the P&R phase split (place / route /
-       sta) — the denominators of the delta-P&R speedup claims. *)
-    let pnr_phases =
-      match app.B.monolithic with
-      | None -> []
-      | Some m ->
-          let pr = m.Pld_core.Flow.pnr3 in
-          [
-            ("pnr_place_seconds", Json.Float pr.Pld_pnr.Pnr.place_seconds);
-            ("pnr_route_seconds", Json.Float pr.Pld_pnr.Pnr.route_seconds);
-            ("pnr_sta_seconds", Json.Float pr.Pld_pnr.Pnr.sta_seconds);
-          ]
-    in
     Json.Obj
       [
         ("level", Json.String (B.level_name level));
         ( "compile",
           Json.Obj
-            ([
+            [
               ("hls_seconds", Json.Float p.Pld_core.Flow.hls);
               ("syn_seconds", Json.Float p.Pld_core.Flow.syn);
               ("pnr_seconds", Json.Float p.Pld_core.Flow.pnr);
@@ -722,15 +709,13 @@ let export_json () =
               ("overhead_seconds", Json.Float p.Pld_core.Flow.overhead);
               ("serial_seconds", Json.Float rep.B.serial_seconds);
               ("parallel_seconds", Json.Float rep.B.parallel_seconds);
-              ("measured_wall_seconds", Json.Float rep.B.wall_seconds);
               ("cache_hits", Json.Int rep.B.cache_hits);
               ("recompiled", Json.Int rep.B.recompiled);
               ( "cache_hit_rate",
                 Json.Float
                   (if jobs_total = 0 then 0.0
                    else float_of_int rep.B.cache_hits /. float_of_int jobs_total) );
-            ]
-            @ pnr_phases) );
+            ] );
         ( "perf",
           Json.Obj
             [
@@ -747,7 +732,6 @@ let export_json () =
       [
         ("name", Json.String b.Suite.name);
         ("paper_name", Json.String b.Suite.paper_name);
-        ("host_ms", Json.Float (r.host_seconds *. 1000.0));
         ("check_ok", Json.Bool r.ok);
         ("levels", Json.List (List.map (level_entry r) r.apps));
       ]
@@ -762,64 +746,6 @@ let export_json () =
   let file = "BENCH_rosetta.json" in
   Json.write_file ~pretty:true ~file doc;
   Printf.printf "wrote %s (%d benchmarks x 4 levels)\n" file (List.length Suite.all)
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): core substrate primitives";
-  let open Bechamel in
-  let fx32 = Pld_ir.Dtype.SFixed { width = 32; int_bits = 17 } in
-  let fx = Pld_ir.Value.of_float fx32 3.25 and fy = Pld_ir.Value.of_float fx32 1.75 in
-  let t_mul =
-    Test.make ~name:"ap_fixed mul 32x32" (Staged.stage (fun () -> ignore (Pld_ir.Value.mul fx fy)))
-  in
-  let t_div =
-    Test.make ~name:"ap_fixed div 32/32" (Staged.stage (fun () -> ignore (Pld_ir.Value.div fx fy)))
-  in
-  let net = Pld_noc.Bft.create () in
-  let t_noc =
-    Test.make ~name:"noc cycle (64 leaves)"
-      (Staged.stage (fun () ->
-           ignore
-             (Pld_noc.Bft.inject net ~leaf:1
-                (Pld_noc.Bft.data_flit ~src_leaf:1 ~dst_leaf:9 ~dst_stream:0 1l));
-           Pld_noc.Bft.step net;
-           ignore (Pld_noc.Bft.eject net ~leaf:9)))
-  in
-  let img =
-    Pld_riscv.Asm.assemble
-      [ Pld_riscv.Asm.Label "top"; Pld_riscv.Asm.Li (Pld_riscv.Isa.t0, 3l); Pld_riscv.Asm.J "top" ]
-  in
-  let cpu = Pld_riscv.Cpu.create () in
-  Pld_riscv.Cpu.load_words cpu ~addr:0 img.Pld_riscv.Asm.words;
-  let t_cpu =
-    Test.make ~name:"picorv32 model step" (Staged.stage (fun () -> ignore (Pld_riscv.Cpu.step cpu)))
-  in
-  let rng = Pld_util.Rng.create 1 in
-  let t_rng_int =
-    Test.make ~name:"rng int" (Staged.stage (fun () -> ignore (Pld_util.Rng.int rng 1000)))
-  in
-  let t_rng_float =
-    Test.make ~name:"rng float" (Staged.stage (fun () -> ignore (Pld_util.Rng.float rng 1.0)))
-  in
-  let tests =
-    Test.make_grouped ~name:"substrates" [ t_mul; t_div; t_noc; t_cpu; t_rng_int; t_rng_float ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances tests in
-  let report = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  (* ns/op estimates are registry gauges rendered back out. *)
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          let metric = "bench.micro." ^ name ^ ".ns_per_op" in
-          T.set_gauge (T.gauge T.default metric) est;
-          Option.iter (fun line -> print_endline ("  " ^ line)) (T.render_metric T.default metric)
-      | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
-    report
 
 let all_experiments =
   [
@@ -840,7 +766,6 @@ let all_experiments =
     ("softcore-sweep", softcore_sweep);
     ("linking-alt", linking_alt);
     ("export-json", export_json);
-    ("micro", micro);
   ]
 
 let () =

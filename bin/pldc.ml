@@ -6,7 +6,7 @@
      pldc compile optical -O1          compile and report
      pldc run optical -O1              compile, deploy, link, run, check
      pldc analyze trace.json           profile + critical path of a saved trace
-     pldc baseline save / check        record / enforce a perf baseline
+     pldc baseline save / check        record / enforce the exact baseline
      pldc service --sessions 1000      replay multi-tenant traffic in process
      pldc chaos --seed 7,11,23         crash-recovery scenarios *)
 
@@ -21,7 +21,6 @@ module Log = Pld_telemetry.Log
 module Profile = Pld_insight.Profile
 module FP = Pld_core.Fabric_profile
 module Bottleneck = Pld_insight.Bottleneck
-module Trace = Pld_insight.Trace
 module Critical_path = Pld_insight.Critical_path
 module Baseline = Pld_insight.Baseline
 module Sentinel = Pld_insight.Sentinel
@@ -779,10 +778,10 @@ let analyze_cmd =
   in
   let run file top workers tree =
     let spans =
-      try Trace.load file with
+      try T.read_chrome ~file with
       | Sys_error m -> die (Printf.sprintf "cannot read trace: %s" m)
       | Json.Parse_error m -> die (Printf.sprintf "%s is not valid JSON: %s" file m)
-      | Trace.Malformed m -> die (Printf.sprintf "%s is not a pldc trace: %s" file m)
+      | T.Malformed_trace m -> die (Printf.sprintf "%s is not a pldc trace: %s" file m)
     in
     let n_spans = List.length (List.filter (fun (s : T.span) -> s.T.dur_us <> None) spans) in
     Printf.printf "%s: %d spans, %d instants, %d executor run(s)\n" file n_spans
@@ -823,15 +822,6 @@ let sentinel_opts_term =
       & opt (list level_conv) Sentinel.default_options.Sentinel.levels
       & info [ "levels" ] ~docv:"LEVELS" ~doc:"Comma-separated levels to measure.")
   in
-  let repeats_arg =
-    Arg.(
-      value
-      & opt int Sentinel.default_options.Sentinel.repeats
-      & info [ "repeats" ] ~docv:"N" ~doc:"Cold-cache compile repeats per (bench, level) cell.")
-  in
-  let sjobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Executor domains per compile.")
-  in
   let no_perf_arg =
     Arg.(
       value & flag
@@ -859,13 +849,10 @@ let sentinel_opts_term =
             "Skip the incremental tier (one-operator edit recompiled through delta P&R per \
              bench).")
   in
-  let mk benches levels repeats pace jobs no_perf no_service no_chaos no_incremental =
+  let mk benches levels no_perf no_service no_chaos no_incremental =
     {
       Sentinel.benches;
       levels;
-      repeats;
-      pace;
-      jobs;
       run_perf = not no_perf;
       run_service = not no_service;
       run_chaos = not no_chaos;
@@ -873,16 +860,15 @@ let sentinel_opts_term =
     }
   in
   Term.(
-    const mk $ benches_arg $ levels_arg $ repeats_arg $ pace_arg $ sjobs_arg $ no_perf_arg
-    $ no_service_arg $ no_chaos_arg $ no_incremental_arg)
+    const mk $ benches_arg $ levels_arg $ no_perf_arg $ no_service_arg $ no_chaos_arg
+    $ no_incremental_arg)
 
 let baseline_save_cmd =
   let doc = "Measure the suite and save the snapshot as the new baseline." in
   let run file opts =
-    Printf.printf "measuring %s at %s (%d repeats)...\n%!"
+    Printf.printf "measuring %s at %s...\n%!"
       (String.concat "," opts.Sentinel.benches)
-      (String.concat "," (List.map B.level_name opts.Sentinel.levels))
-      opts.Sentinel.repeats;
+      (String.concat "," (List.map B.level_name opts.Sentinel.levels));
     let snap = Sentinel.measure opts in
     (match Filename.dirname file with
     | "" | "." -> ()
@@ -894,61 +880,23 @@ let baseline_save_cmd =
 
 let baseline_check_cmd =
   let doc = "Measure the suite and fail (exit 1) if it regressed against the baseline." in
-  let exact_only_arg =
-    Arg.(
-      value & flag
-      & info [ "exact-only" ]
-          ~doc:
-            "Compare only the deterministic (exact) metric class — for baselines recorded on \
-             different hardware, where modeled tool seconds are not comparable.")
-  in
-  let skip_wall_arg =
-    Arg.(
-      value & flag
-      & info [ "skip-wall" ]
-          ~doc:"Drop only the wall-clock class (the noisiest) from the comparison.")
-  in
-  let perturb_arg =
-    Arg.(
-      value
-      & opt_all (list (pair ~sep:'=' string float)) []
-      & info [ "perturb" ] ~docv:"METRIC=FACTOR,..."
-          ~doc:
-            "Scale the named measured metrics by their factors before comparing — the gate's \
-             self-test: a perturbed run must fail.")
-  in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write machine-readable findings (REGRESSION.json).")
   in
-  let run file opts exact_only skip_wall perturb out =
+  let run file opts out =
     if not (Sys.file_exists file) then
       die ~code:2 (Printf.sprintf "no baseline at %s (record one with `pldc baseline save`)" file);
-    let current = Sentinel.perturb (List.concat perturb) (Sentinel.measure opts) in
-    let current =
-      if not skip_wall then current
-      else
-        {
-          current with
-          Baseline.entries =
-            List.map
-              (fun (e : Baseline.entry) -> { e with Baseline.wall = [] })
-              current.Baseline.entries;
-        }
-    in
-    let verdict = Sentinel.check ~base_file:file ~exact_only ?out current in
+    let verdict = Sentinel.check ~base_file:file ?out (Sentinel.measure opts) in
     print_string (Baseline.render_verdict verdict);
     if not verdict.Baseline.ok then exit 1
   in
-  Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ skip_wall_arg
-      $ perturb_arg $ out_arg)
+  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ baseline_file_arg $ sentinel_opts_term $ out_arg)
 
 let baseline_cmd =
-  let doc = "Record or enforce a performance baseline (the regression sentinel)." in
+  let doc = "Record or enforce a behaviour baseline (the exact regression sentinel)." in
   Cmd.group (Cmd.info "baseline" ~doc) [ baseline_save_cmd; baseline_check_cmd ]
 
 (* ---------- property-based differential fuzzing ---------- *)

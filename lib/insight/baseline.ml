@@ -1,50 +1,13 @@
 module Json = Pld_telemetry.Json
-module Stats = Pld_util.Stats
 module Table = Pld_util.Table
 
-type stats = { n : int; median : float; mad : float; lo : float; hi : float }
+type entry = { bench : string; level : string; exact : (string * float) list }
+type snapshot = { version : int; suite : string; created : string; entries : entry list }
 
-let stats_of xs =
-  if xs = [] then invalid_arg "Baseline.stats_of: empty sample list";
-  let med = Stats.median xs in
-  let mad = Stats.median (List.map (fun x -> Float.abs (x -. med)) xs) in
-  let lo, hi = Stats.min_max xs in
-  { n = List.length xs; median = med; mad; lo; hi }
+let current_version = 2
 
-type entry = {
-  bench : string;
-  level : string;
-  exact : (string * float) list;
-  tool : (string * stats) list;
-  wall : (string * stats) list;
-}
-
-type snapshot = {
-  version : int;
-  suite : string;
-  created : string;
-  repeats : int;
-  pace : float;
-  entries : entry list;
-}
-
-let current_version = 1
-
-type thresholds = {
-  exact_rel : float;
-  tool_rel : float;
-  tool_abs : float;
-  tool_mad_k : float;
-  wall_rel : float;
-  wall_abs : float;
-}
-
-let default_thresholds =
-  { exact_rel = 1e-6; tool_rel = 0.02; tool_abs = 0.05; tool_mad_k = 4.0; wall_rel = 0.25; wall_abs = 0.02 }
-
-type metric_class = Exact | Tool | Wall
-
-let class_name = function Exact -> "exact" | Tool -> "tool" | Wall -> "wall"
+(* Drift beyond float formatting is a behaviour change. *)
+let exact_rel = 1e-6
 
 type status = Ok | Regression | Improvement | Missing | New
 
@@ -59,7 +22,6 @@ type finding = {
   f_bench : string;
   f_level : string;
   f_metric : string;
-  f_class : metric_class;
   f_base : float;
   f_cur : float;
   f_band : float;
@@ -74,111 +36,57 @@ type verdict = {
 }
 
 let higher_is_better = function
-  | "fmax_mhz" | "cache_hits" -> true
-  (* Service tier: more sharing is better, more failures is worse. *)
-  | "svc_completed" | "svc_deduped" | "svc_cross_tenant_hits" | "svc_cache_hits" -> true
-  (* Incremental tier: losing the delta path or its speedup is the regression. *)
-  | "inc_delta_hits" | "inc_speedup" | "inc_cells_kept" -> true
+  | "fmax_mhz" | "cache_hits" | "svc_completed" -> true
+  (* Incremental tier: losing the delta path is the regression. *)
+  | "inc_delta_hits" | "inc_cells_kept" -> true
   | _ -> false
 
 (* ---------- comparison ---------- *)
 
-(* 1.4826 scales a MAD to the sigma of a normal distribution with the
-   same spread, so [tool_mad_k] reads as "k sigmas of observed noise". *)
-let mad_sigma = 1.4826
+(* Every key of [base] with its value in [cur] if any, then the keys
+   only [cur] has. *)
+let pair base cur =
+  List.map (fun (k, b) -> (k, Some b, List.assoc_opt k cur)) base
+  @ List.filter_map
+      (fun (k, c) -> if List.mem_assoc k base then None else Some (k, None, Some c))
+      cur
 
-let judge ~metric ~base ~cur ~band =
-  if Float.abs (cur -. base) <= band then Ok
-  else if higher_is_better metric = (cur > base) then Improvement
-  else Regression
+let finding ~bench ~level metric base cur =
+  let f_band, f_status =
+    match (base, cur) with
+    | Some b, Some c ->
+        let band = Float.max 1e-9 (exact_rel *. Float.abs b) in
+        ( band,
+          if Float.abs (c -. b) <= band then Ok
+          else if higher_is_better metric = (c > b) then Improvement
+          else Regression )
+    | Some _, None -> (0.0, Missing)
+    | None, _ -> (0.0, New)
+  in
+  let value = Option.value ~default:Float.nan in
+  {
+    f_bench = bench;
+    f_level = level;
+    f_metric = metric;
+    f_base = value base;
+    f_cur = value cur;
+    f_band;
+    f_status;
+  }
 
-let compare_entry th ~exact_only (base : entry) (cur : entry) =
-  let mk cls metric b c band =
-    {
-      f_bench = base.bench;
-      f_level = base.level;
-      f_metric = metric;
-      f_class = cls;
-      f_base = b;
-      f_cur = c;
-      f_band = band;
-      f_status = judge ~metric ~base:b ~cur:c ~band;
-    }
-  in
-  let missing cls metric b =
-    { f_bench = base.bench; f_level = base.level; f_metric = metric; f_class = cls;
-      f_base = b; f_cur = Float.nan; f_band = 0.0; f_status = Missing }
-  in
-  let fresh cls metric c =
-    { f_bench = base.bench; f_level = base.level; f_metric = metric; f_class = cls;
-      f_base = Float.nan; f_cur = c; f_band = 0.0; f_status = New }
-  in
-  let pair cls b_list c_list band_of value_of =
-    List.map
-      (fun (m, b) ->
-        match List.assoc_opt m c_list with
-        | Some c -> mk cls m (value_of b) (value_of c) (band_of b)
-        | None -> missing cls m (value_of b))
-      b_list
-    @ List.filter_map
-        (fun (m, c) ->
-          if List.mem_assoc m b_list then None else Some (fresh cls m (value_of c)))
-        c_list
-  in
-  let exact =
-    pair Exact base.exact cur.exact
-      (fun b -> Float.max 1e-9 (th.exact_rel *. Float.abs b))
-      Fun.id
-  in
-  if exact_only then exact
-  else
-    exact
-    @ pair Tool base.tool cur.tool
-        (fun b ->
-          Float.max th.tool_abs
-            (Float.max (th.tool_rel *. Float.abs b.median) (th.tool_mad_k *. mad_sigma *. b.mad)))
-        (fun s -> s.median)
-    @ pair Wall base.wall cur.wall
-        (fun b -> Float.max th.wall_abs (th.wall_rel *. Float.abs b.median))
-        (fun s -> s.median)
-
-let compare_snapshots ?(thresholds = default_thresholds) ?(exact_only = false) ~base cur =
-  let key e = (e.bench, e.level) in
+let compare_snapshots ~base cur =
+  let by_key s = List.map (fun e -> ((e.bench, e.level), e.exact)) s.entries in
   let findings =
     List.concat_map
-      (fun b ->
-        match List.find_opt (fun c -> key c = key b) cur.entries with
-        | Some c -> compare_entry thresholds ~exact_only b c
-        | None ->
-            [
-              {
-                f_bench = b.bench;
-                f_level = b.level;
-                f_metric = "(entry)";
-                f_class = Exact;
-                f_base = Float.nan;
-                f_cur = Float.nan;
-                f_band = 0.0;
-                f_status = Missing;
-              };
-            ])
-      base.entries
-    @ List.filter_map
-        (fun c ->
-          if List.exists (fun b -> key b = key c) base.entries then None
-          else
-            Some
-              {
-                f_bench = c.bench;
-                f_level = c.level;
-                f_metric = "(entry)";
-                f_class = Exact;
-                f_base = Float.nan;
-                f_cur = Float.nan;
-                f_band = 0.0;
-                f_status = New;
-              })
-        cur.entries
+      (fun ((bench, level), b, c) ->
+        match (b, c) with
+        | Some b, Some c ->
+            List.map (fun (metric, b, c) -> finding ~bench ~level metric b c) (pair b c)
+        | _ ->
+            (* A whole entry on one side only: one finding without
+               values, missing if the baseline has it, new otherwise. *)
+            [ finding ~bench ~level "(entry)" (Option.map (fun _ -> Float.nan) b) None ])
+      (pair (by_key base) (by_key cur))
   in
   let regressions = List.filter (fun f -> f.f_status = Regression) findings in
   let improvements = List.filter (fun f -> f.f_status = Improvement) findings in
@@ -193,33 +101,10 @@ let get name j = match Json.member name j with Some v -> v | None -> fail "basel
 let get_str name j = match get name j with Json.String s -> s | _ -> fail "baseline: %S not a string" name
 let get_int name j = match get name j with Json.Int i -> i | _ -> fail "baseline: %S not an int" name
 
-let get_float name j =
-  match get name j with
+let number = function
   | Json.Float f -> f
   | Json.Int i -> float_of_int i
-  | _ -> fail "baseline: %S not a number" name
-
-let fields name j =
-  match get name j with Json.Obj l -> l | _ -> fail "baseline: %S not an object" name
-
-let stats_json s =
-  Json.Obj
-    [
-      ("n", Json.Int s.n);
-      ("median", Json.Float s.median);
-      ("mad", Json.Float s.mad);
-      ("lo", Json.Float s.lo);
-      ("hi", Json.Float s.hi);
-    ]
-
-let stats_of_json j =
-  {
-    n = get_int "n" j;
-    median = get_float "median" j;
-    mad = get_float "mad" j;
-    lo = get_float "lo" j;
-    hi = get_float "hi" j;
-  }
+  | _ -> fail "baseline: exact metric not a number"
 
 let entry_json e =
   Json.Obj
@@ -227,23 +112,15 @@ let entry_json e =
       ("bench", Json.String e.bench);
       ("level", Json.String e.level);
       ("exact", Json.Obj (List.map (fun (m, v) -> (m, Json.Float v)) e.exact));
-      ("tool", Json.Obj (List.map (fun (m, s) -> (m, stats_json s)) e.tool));
-      ("wall", Json.Obj (List.map (fun (m, s) -> (m, stats_json s)) e.wall));
     ]
 
 let entry_of_json j =
-  let number = function
-    | Json.Float f -> f
-    | Json.Int i -> float_of_int i
-    | _ -> fail "baseline: exact metric not a number"
+  let exact =
+    match get "exact" j with
+    | Json.Obj l -> List.map (fun (m, v) -> (m, number v)) l
+    | _ -> fail "baseline: \"exact\" not an object"
   in
-  {
-    bench = get_str "bench" j;
-    level = get_str "level" j;
-    exact = List.map (fun (m, v) -> (m, number v)) (fields "exact" j);
-    tool = List.map (fun (m, v) -> (m, stats_of_json v)) (fields "tool" j);
-    wall = List.map (fun (m, v) -> (m, stats_of_json v)) (fields "wall" j);
-  }
+  { bench = get_str "bench" j; level = get_str "level" j; exact }
 
 let to_json s =
   Json.Obj
@@ -251,8 +128,6 @@ let to_json s =
       ("version", Json.Int s.version);
       ("suite", Json.String s.suite);
       ("created", Json.String s.created);
-      ("repeats", Json.Int s.repeats);
-      ("pace", Json.Float s.pace);
       ("entries", Json.List (List.map entry_json s.entries));
     ]
 
@@ -266,25 +141,10 @@ let of_json j =
     | Json.List l -> List.map entry_of_json l
     | _ -> fail "baseline: \"entries\" not a list"
   in
-  {
-    version;
-    suite = get_str "suite" j;
-    created = get_str "created" j;
-    repeats = get_int "repeats" j;
-    pace = get_float "pace" j;
-    entries;
-  }
+  { version; suite = get_str "suite" j; created = get_str "created" j; entries }
 
 let save ~file s = Json.write_file ~pretty:true ~file (to_json s)
-
-let load ~file =
-  let ic = open_in_bin file in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_json (Json.of_string src)
+let load ~file = of_json (Json.read_file ~file)
 
 (* ---------- rendering ---------- *)
 
@@ -303,7 +163,6 @@ let render_verdict v =
         [
           f.f_bench;
           f.f_level;
-          class_name f.f_class;
           f.f_metric;
           fnum f.f_base;
           fnum f.f_cur;
@@ -317,10 +176,10 @@ let render_verdict v =
     Table.render
       ~aligns:
         [
-          Table.Left; Table.Left; Table.Left; Table.Left; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Left;
+          Table.Left; Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
+          Table.Left;
         ]
-      ~header:[ "bench"; "level"; "class"; "metric"; "baseline"; "current"; "delta"; "band"; "status" ]
+      ~header:[ "bench"; "level"; "metric"; "baseline"; "current"; "delta"; "band"; "status" ]
       rows
   in
   let summary =
@@ -342,7 +201,6 @@ let finding_json f =
     [
       ("bench", Json.String f.f_bench);
       ("level", Json.String f.f_level);
-      ("class", Json.String (class_name f.f_class));
       ("metric", Json.String f.f_metric);
       ("baseline", Json.Float f.f_base);
       ("current", Json.Float f.f_cur);

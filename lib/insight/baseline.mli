@@ -1,67 +1,30 @@
-(** Versioned performance baselines with noise-aware comparison.
+(** Versioned behaviour baselines with an exact comparison.
 
-    A baseline snapshots the key metrics of a benchmark run so a later
-    run can be judged against it. Metrics fall into three classes with
-    very different noise characteristics, and the comparison thresholds
-    differ accordingly:
-
-    - {b exact} — deterministic outputs of the seeded flows
-      (cache hits, recompile counts, modeled overhead, Fmax, frame
-      cycles, ms/input). Any drift beyond float formatting is a real
-      behavior change and is flagged at a near-zero tolerance.
-    - {b tool} — modeled phase seconds (hls/syn/pnr/bitgen,
-      serial/parallel totals). The model embeds the {e measured}
-      runtime of the in-tree placement/routing/bitgen algorithms, so
-      these numbers carry machine noise on top of a stable signal;
-      they are stored as repeat statistics (median + MAD) and compared
-      with a band of relative, absolute and MAD-scaled slack.
-    - {b wall} — raw wall-clock of the executor run; the noisiest,
-      widest band.
+    A baseline snapshots the deterministic outputs of a seeded suite
+    run — P&R counters, cache hits and recompiles, modeled overhead,
+    Fmax, frame cycles, ms/input, and the service, chaos and
+    incremental counters — so a later run can be judged against it.
+    Every metric is compared at a relative tolerance of 1e-6: any drift
+    beyond float formatting is a behaviour change. No metric is a
+    measured time; measured seconds are judged by [perf check].
 
     A regression is a metric {e worse} than its baseline beyond the
-    band (slower, fewer cache hits, lower Fmax); an improvement is the
-    same distance in the good direction and is reported but never
-    fails a check. *)
+    band (fewer cache hits, lower Fmax, more recompiles); an
+    improvement is the same distance in the good direction and is
+    reported but never fails a check. *)
 
 module Json = Pld_telemetry.Json
 
-type stats = { n : int; median : float; mad : float; lo : float; hi : float }
-(** Repeat statistics: median, median absolute deviation, extremes. *)
-
-val stats_of : float list -> stats
-(** Raises [Invalid_argument] on an empty list. *)
-
-type entry = {
-  bench : string;
-  level : string;
-  exact : (string * float) list;
-  tool : (string * stats) list;
-  wall : (string * stats) list;
-}
+type entry = { bench : string; level : string; exact : (string * float) list }
 
 type snapshot = {
   version : int;  (** format version, {!current_version} *)
   suite : string;
   created : string;  (** ISO-8601 UTC, informational only *)
-  repeats : int;
-  pace : float;
   entries : entry list;
 }
 
 val current_version : int
-
-type thresholds = {
-  exact_rel : float;
-  tool_rel : float;
-  tool_abs : float;  (** seconds *)
-  tool_mad_k : float;  (** multiples of the baseline MAD-derived sigma *)
-  wall_rel : float;
-  wall_abs : float;  (** seconds *)
-}
-
-val default_thresholds : thresholds
-
-type metric_class = Exact | Tool | Wall
 
 type status = Ok | Regression | Improvement | Missing | New
 (** [Missing]: in the baseline but not the current run; [New]: the
@@ -74,9 +37,8 @@ type finding = {
   f_bench : string;
   f_level : string;
   f_metric : string;
-  f_class : metric_class;
-  f_base : float;  (** baseline median (or exact value) *)
-  f_cur : float;  (** current median (or exact value) *)
+  f_base : float;
+  f_cur : float;
   f_band : float;  (** allowed absolute deviation *)
   f_status : status;
 }
@@ -89,15 +51,12 @@ type verdict = {
 }
 
 val higher_is_better : string -> bool
-(** Direction of goodness for a metric name ([fmax_mhz], [cache_hits]);
-    everything else is lower-is-better. *)
+(** Direction of goodness for a metric name ([fmax_mhz], [cache_hits],
+    [svc_completed], [inc_delta_hits], [inc_cells_kept]); everything
+    else is lower-is-better. *)
 
-val compare_snapshots :
-  ?thresholds:thresholds -> ?exact_only:bool -> base:snapshot -> snapshot -> verdict
-(** Compare a current snapshot against its baseline. [exact_only]
-    (default false) restricts the comparison to the exact class — the
-    mode for checking against a baseline recorded on different
-    hardware, where tool/wall numbers are incomparable. *)
+val compare_snapshots : base:snapshot -> snapshot -> verdict
+(** Compare a current snapshot against its baseline. *)
 
 val to_json : snapshot -> Json.t
 val of_json : Json.t -> snapshot

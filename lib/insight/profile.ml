@@ -73,7 +73,6 @@ type row = {
 
 let flat spans =
   let acc = Hashtbl.create 32 in
-  let order = ref [] in
   let rec walk n =
     let d = dur n.span /. 1e6 in
     let child_d = List.fold_left (fun a c -> a +. (dur c.span /. 1e6)) 0.0 n.children in
@@ -81,7 +80,6 @@ let flat spans =
     let k = (n.span.Telemetry.name, n.span.Telemetry.cat, n.span.Telemetry.clock) in
     (match Hashtbl.find_opt acc k with
     | None ->
-        order := k :: !order;
         Hashtbl.replace acc k
           {
             name = n.span.Telemetry.name;
@@ -104,9 +102,13 @@ let flat spans =
     List.iter walk n.children
   in
   List.iter walk (forest spans);
-  List.rev !order
-  |> List.map (fun k -> Hashtbl.find acc k)
-  |> List.sort (fun a b -> compare b.self_s a.self_s)
+  (* A total order, so rows with tied self time list the same way
+     whatever order the forest walk met them in. *)
+  Hashtbl.fold (fun _ r rows -> r :: rows) acc []
+  |> List.sort (fun a b ->
+         match Float.compare b.self_s a.self_s with
+         | 0 -> compare (a.name, a.cat, a.clock) (b.name, b.cat, b.clock)
+         | c -> c)
 
 let clock_name = function Telemetry.Wall -> "wall" | Telemetry.Modeled -> "modeled"
 

@@ -32,7 +32,7 @@ type row = {
 
 val flat : Telemetry.span list -> row list
 (** Flat profile: one row per distinct (name, cat, clock), in
-    decreasing [self_s] order. A span nested under another occurrence
+    decreasing [self_s] order, ties broken by (name, cat, clock). A span nested under another occurrence
     of itself still counts its full duration once per occurrence, so
     [total_s] of a recursive name can exceed wall time — selves always
     sum to the timeline's span. *)

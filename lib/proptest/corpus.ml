@@ -64,11 +64,7 @@ let save ~dir ~name e =
   Json.write_file ~pretty:true ~file:path (entry_to_json e);
   path
 
-let load path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  entry_of_json (Json.of_string s)
+let load path = entry_of_json (Json.read_file ~file:path)
 
 let load_dir dir =
   if not (Sys.file_exists dir) then []

@@ -29,11 +29,15 @@ let escape_into buf s =
   Buffer.add_char buf '"'
 
 (* JSON has no NaN or infinity; a non-finite measurement serializes as
-   null rather than producing an unparseable file. *)
+   null rather than producing an unparseable file. A finite float prints
+   with the fewer of 15 or 17 significant digits that reads back as the
+   same float, so a document round-trips bit-exactly. *)
 let float_repr f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else (* "%g" may print an integral float as "3"; still valid JSON *)
-    Printf.sprintf "%.12g" f
+  else
+    (* "%g" may print an integral float as "3"; still valid JSON *)
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -324,3 +328,5 @@ let write_file ?(pretty = false) ~file v =
     (fun () ->
       output_string oc (if pretty then render_pretty v else to_string v);
       output_char oc '\n')
+
+let read_file ~file = of_string (In_channel.with_open_bin file In_channel.input_all)

@@ -4,8 +4,10 @@
     trace-event files that Perfetto loads, flat metrics documents) and
     the tests need to *read it back* to prove the files parse — without
     pulling a JSON dependency into the build. Numbers are split into
-    [Int] and [Float] so counters round-trip exactly; non-finite floats
-    are serialized as [null] (JSON has no NaN/infinity). *)
+    [Int] and [Float] so counters round-trip exactly; a finite float
+    prints with enough digits to read back as the same float, and
+    non-finite floats are serialized as [null] (JSON has no
+    NaN/infinity). *)
 
 type t =
   | Null
@@ -44,3 +46,7 @@ val write_file : ?pretty:bool -> file:string -> t -> unit
     existing file). [pretty] (default false) selects the indented
     form — used for benchmark and regression artifacts that get
     diffed in review. *)
+
+val read_file : file:string -> t
+(** Parse the whole of [file], closing it even when parsing fails.
+    Raises [Sys_error] on I/O failure and {!Parse_error} on bad JSON. *)

@@ -268,7 +268,16 @@ let snapshot t =
         s_track_names = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.track_names [];
       })
 
-let process_label cat = function Wall -> cat | Modeled -> cat ^ " (modeled)"
+(* The one definition of the Chrome process label: a (category, clock)
+   pair becomes "cat" or "cat (modeled)", and the decoder splits it
+   back. *)
+let modeled_suffix = " (modeled)"
+let process_label cat = function Wall -> cat | Modeled -> cat ^ modeled_suffix
+
+let split_process_label label =
+  if String.ends_with ~suffix:modeled_suffix label then
+    (String.sub label 0 (String.length label - String.length modeled_suffix), Modeled)
+  else (label, Wall)
 
 let to_chrome_json t =
   let s = snapshot t in
@@ -326,6 +335,70 @@ let to_chrome_json t =
       ("otherData", Json.Obj [ ("dropped_events", Json.Int s.s_dropped) ]);
     ]
 
+exception Malformed_trace of string
+
+let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed_trace s)) fmt
+
+let of_chrome_json doc =
+  let number = function
+    | Json.Int i -> float_of_int i
+    | Json.Float f -> f
+    | _ -> malformed "expected a number"
+  in
+  let str = function Json.String s -> s | _ -> malformed "expected a string" in
+  let field name j =
+    match Json.member name j with Some v -> v | None -> malformed "event missing %S field" name
+  in
+  let events =
+    match Json.member "traceEvents" doc with
+    | Some (Json.List l) -> l
+    | _ -> malformed "no traceEvents list — not a Chrome trace"
+  in
+  (* First pass: process_name metadata gives each pid's (cat, clock). *)
+  let procs = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      match (Json.member "ph" e, Json.member "name" e) with
+      | Some (Json.String "M"), Some (Json.String "process_name") ->
+          let label =
+            match Option.bind (Json.member "args" e) (Json.member "name") with
+            | Some l -> str l
+            | None -> malformed "process_name metadata without a label"
+          in
+          Hashtbl.replace procs (int_of_float (number (field "pid" e))) (split_process_label label)
+      | _ -> ())
+    events;
+  let attrs_of e =
+    match Json.member "args" e with
+    | Some (Json.Obj fields) ->
+        List.filter_map (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None) fields
+    | _ -> []
+  in
+  let decode e =
+    match str (field "ph" e) with
+    | "M" -> None
+    | ("X" | "i") as ph ->
+        (* the event's own "cat" is authoritative; the pid label only
+           supplies the clock domain *)
+        let label_cat, clock =
+          Option.value ~default:("?", Wall)
+            (Hashtbl.find_opt procs (int_of_float (number (field "pid" e))))
+        in
+        let cat = match Json.member "cat" e with Some (Json.String c) -> c | _ -> label_cat in
+        Some
+          {
+            name = str (field "name" e);
+            cat;
+            track = int_of_float (number (field "tid" e));
+            clock;
+            start_us = number (field "ts" e);
+            dur_us = (if ph = "X" then Some (number (field "dur" e)) else None);
+            attrs = attrs_of e;
+          }
+    | ph -> malformed "unsupported trace event phase %S" ph
+  in
+  List.filter_map decode events
+
 let histogram_json h =
   let buckets =
     List.init
@@ -367,6 +440,7 @@ let to_metrics_json t =
     ]
 
 let write_chrome t ~file = Json.write_file ~file (to_chrome_json t)
+let read_chrome ~file = of_chrome_json (Json.read_file ~file)
 let write_metrics t ~file = Json.write_file ~file (to_metrics_json t)
 
 let prometheus_name name =

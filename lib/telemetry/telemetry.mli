@@ -160,6 +160,26 @@ val to_metrics_json : t -> Json.t
 val write_chrome : t -> file:string -> unit
 val write_metrics : t -> file:string -> unit
 
+(** {2 Reading a trace back} *)
+
+exception Malformed_trace of string
+(** The document is valid JSON but not a trace {!to_chrome_json}
+    wrote: no [traceEvents] list, an event without a name, a phase
+    other than ["X"], ["i"] or ["M"]. *)
+
+val of_chrome_json : Json.t -> span list
+(** Invert {!to_chrome_json}, so an analysis runs identically on a live
+    sink and on a trace file: ["X"] events become spans, ["i"] events
+    instants ([dur_us = None]), and ["M"] metadata gives each pid its
+    (category, clock). Events in an unknown pid decode with category
+    ["?"] and a wall clock rather than being dropped. Raises
+    {!Malformed_trace}. *)
+
+val read_chrome : file:string -> span list
+(** Read and decode a trace file written by {!write_chrome}. Raises
+    [Sys_error] on I/O failure, [Json.Parse_error] on bad JSON and
+    {!Malformed_trace} on a non-trace. *)
+
 val to_prometheus : t -> string
 (** Prometheus text exposition (version 0.0.4) of the metrics
     registry: every name is sanitized and prefixed [pld_]; every
