@@ -13,7 +13,6 @@
 open Cmdliner
 module B = Pld_core.Build
 module R = Pld_core.Runner
-module S = Pld_core.Session
 module Protocol = Pld_service.Protocol
 module T = Pld_telemetry.Telemetry
 module Json = Pld_telemetry.Json
@@ -42,45 +41,11 @@ let die ?(code = 1) msg =
   exit code
 
 let level_conv =
-  let parse = function
-    | "-O0" | "O0" | "0" -> Ok B.O0
-    | "-O1" | "O1" | "1" -> Ok B.O1
-    | "-O3" | "O3" | "3" -> Ok B.O3
-    | "vitis" -> Ok B.Vitis
-    | s -> Error (`Msg (Printf.sprintf "unknown level %S (use O0, O1, O3 or vitis)" s))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (B.level_of_name s) in
   Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (B.level_name l))
 
-(* Rosetta applications by name, plus the service traffic-generator
-   namespace ("svc-3x0x7"): chains are rate-1, so a ramp workload is
-   always valid and the structural check is vacuous. *)
-let chain_bench s =
-  match Pld_service.Traffic.chain_of_name s with
-  | Error _ -> None
-  | Ok chain ->
-      Some
-        {
-          Suite.name = s;
-          paper_name = "service traffic chain";
-          graph = (fun _ -> Pld_service.Traffic.chain_graph chain);
-          workload = (fun () -> Pld_service.Traffic.chain_workload chain);
-          check = (fun ~inputs:_ _ -> true);
-        }
-
 let bench_conv =
-  let parse s =
-    match Suite.find s with
-    | b -> Ok b
-    | exception Not_found -> (
-        match chain_bench s with
-        | Some b -> Ok b
-        | None ->
-            Error
-              (`Msg
-                (Printf.sprintf "unknown benchmark %S (have: %s; or a svc-I[xJ...] traffic chain)"
-                   s
-                   (String.concat ", " Suite.names))))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Pld_service.Traffic.bench_of_name s) in
   Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
 
 let bench_arg = Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCH")
@@ -557,7 +522,6 @@ let compile_cmd =
              (Protocol.Compile { bench = b.Suite.name; level = B.level_name level }))
     | None ->
     let cache = open_cache cache_dir in
-    let session = S.open_session ~name:"pldc" ~fp ~cache ~workers ~jobs ~pace () in
     let faults = injector_of fault_spec fault_seed in
     let graph =
       match touch_op with
@@ -570,8 +534,10 @@ let compile_cmd =
                 (Printf.sprintf "--touch-op: no instance %S in %s" inst b.Suite.name))
     in
     let previous = Option.bind incremental_from (fun dir -> load_previous dir b level) in
-    let app = S.compile session ~level ?faults ~max_retries ?previous ~pnr_seeds graph in
-    S.close session;
+    let app =
+      B.compile ~cache ~workers ~jobs ~pace ?faults ~max_retries ?previous ~pnr_seeds fp graph
+        ~level
+    in
     Option.iter (fun dir -> save_previous dir b level app) incremental_from;
     print_endline (Pld_core.Report.compile_summary app);
     Printf.printf "  cache: %s\n" (Pld_core.Report.cache_summary app.B.report);
@@ -605,15 +571,14 @@ let run_cmd =
     let cache = open_cache cache_dir in
     let graph = b.Suite.graph hw in
     let faults = injector_of fault_spec fault_seed in
-    let session = S.open_session ~name:"pldc" ~fp ~cache ~workers ~jobs () in
-    let app = S.compile session ~level ?faults ~max_retries graph in
+    let app = B.compile ~cache ~workers ~jobs ?faults ~max_retries fp graph ~level in
     let dr =
-      try S.link session ?faults ~max_retries app
+      try L.deploy ?faults ~max_retries (Pld_platform.Card.create ?faults ()) app
       with L.Deploy_failed m -> die (Printf.sprintf "deploy failed: %s" m)
     in
     let inputs = b.Suite.workload () in
     let r =
-      try S.run session ?faults dr ~inputs with
+      try R.run ?faults dr.L.app ~inputs with
       | R.Stalled d -> die (R.describe_stall d)
       | R.Softcore_trap (inst, tr) ->
           die (Printf.sprintf "softcore %s trapped: %s" inst (Pld_riscv.Cpu.describe_trap tr))
@@ -630,16 +595,13 @@ let run_cmd =
         List.iter (fun l -> Printf.printf "  %s\n" l) (Pld_core.Report.build_recovery_lines app.B.report);
         List.iter print_endline (Pld_core.Report.recovery_lines dr);
         (* Honest degraded-mode reporting: rerun the whole flow
-           fault-free — in its own session on the same shared cache —
+           fault-free — on a fault-free card, against the same cache —
            and put the two perf numbers side by side. *)
-        let nsession = S.open_session ~name:"pldc-nominal" ~fp ~cache ~workers ~jobs () in
-        let napp = S.compile nsession ~level graph in
-        let ndr = S.link nsession napp in
-        let nr = S.run nsession ndr ~inputs in
-        S.close nsession;
+        let napp = B.compile ~cache ~workers ~jobs fp graph ~level in
+        let ndr = L.deploy (Pld_platform.Card.create ()) napp in
+        let nr = R.run ndr.L.app ~inputs in
         List.iter print_endline (Pld_core.Report.degraded_perf_lines ~nominal:nr ~actual:r);
         Printf.printf "outputs bit-identical to fault-free run: %b\n" (r.R.outputs = nr.R.outputs));
-    S.close session;
     let ok = b.Suite.check ~inputs r.R.outputs in
     Printf.printf "output check vs independent reference: %b\n" ok;
     telemetry_report ~workers ~trace ~trace_out ~metrics_out ~profile ~hot ~critical_path ();
@@ -653,14 +615,6 @@ let run_cmd =
       $ deadline_arg $ retries_arg)
 
 (* ---------- fabric profiling ---------- *)
-
-(* The full profile document: the run snapshot plus the back-pressure
-   attribution — the same shape pldd persists, so the two export paths
-   validate identically. *)
-let profile_doc profile bk =
-  match FP.to_json profile with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("attribution", Bottleneck.to_json bk) ])
-  | other -> other
 
 let render_fabric ~fabric profile =
   let bk = Bottleneck.attribute profile in
@@ -711,22 +665,20 @@ let profile_cmd =
           | Ok profile -> render_fabric ~fabric profile)
     | None ->
         let cache = open_cache cache_dir in
-        let session = S.open_session ~name:"pldc" ~fp ~cache ~workers ~jobs () in
-        let app = S.compile session ~level (b.Suite.graph hw) in
+        let app = B.compile ~cache ~workers ~jobs fp (b.Suite.graph hw) ~level in
         let dr =
-          try S.link session app
+          try L.deploy (Pld_platform.Card.create ()) app
           with L.Deploy_failed m -> die (Printf.sprintf "deploy failed: %s" m)
         in
         let pmu = Pld_telemetry.Pmu.create () in
         let r =
-          try S.run session ~pmu dr ~inputs:(b.Suite.workload ()) with
+          try R.run ~pmu dr.L.app ~inputs:(b.Suite.workload ()) with
           | R.Stalled d -> die (R.describe_stall d)
           | R.Softcore_trap (inst, tr) ->
               die (Printf.sprintf "softcore %s trapped: %s" inst (Pld_riscv.Cpu.describe_trap tr))
         in
-        S.close session;
         let profile = FP.of_run ~pmu app r in
-        if json then print_endline (Json.pretty (profile_doc profile (Bottleneck.attribute profile)))
+        if json then print_endline (Json.pretty (Bottleneck.profile_doc profile))
         else render_fabric ~fabric profile
   in
   Cmd.v (Cmd.info "profile" ~doc)

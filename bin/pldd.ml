@@ -13,8 +13,7 @@
 
    The serving loop itself (socket claiming, drain-on-SIGTERM,
    connection error accounting) lives in lib/service/server.ml; this
-   binary adds the Rosetta/traffic bench namespace, the Run request,
-   and the operational flags. *)
+   binary adds the Run request and the operational flags. *)
 
 open Cmdliner
 module B = Pld_core.Build
@@ -31,31 +30,18 @@ open Pld_rosetta
 
 let hw = Pld_ir.Graph.Hw { page_hint = None }
 
-(* A bench name is either a Rosetta application or a synthetic
-   traffic chain ("svc-3x0x7") — the same namespace `pldc service`
-   draws from, so clients can replay its workload. Rosetta benches
-   carry their own (rate-correct) workloads; traffic chains are
-   rate-1 so a ramp is always safe. *)
-let resolve_bench name =
-  match Traffic.chain_of_name name with
-  | Ok chain -> Ok (Traffic.chain_graph chain, fun () -> Traffic.chain_workload chain)
-  | Error _ -> (
-      match Suite.find name with
-      | b -> Ok (b.Suite.graph hw, b.Suite.workload)
-      | exception Not_found ->
-          Error
-            (Printf.sprintf "unknown bench %S (rosetta: %s; or a svc-I[xJ...] traffic chain)" name
-               (String.concat ", " Suite.names)))
-
-let resolve_graph name = Result.map fst (resolve_bench name)
+(* The Compile and Profile handlers take graphs from the same bench
+   namespace as Run ([Traffic.bench_of_name], shared with pldc). *)
+let resolve_graph name = Result.map (fun b -> b.Suite.graph hw) (Traffic.bench_of_name name)
 
 let handle_request server (e : Protocol.envelope) =
   let id = e.Protocol.rq_id in
   match e.Protocol.req with
   | Protocol.Run { bench; level; frames } -> (
-      match (resolve_bench bench, Protocol.level_of_name level) with
+      match (Traffic.bench_of_name bench, B.level_of_name level) with
       | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
-      | Ok (g, workload), Ok level -> (
+      | Ok b, Ok level -> (
+          let g = b.Suite.graph hw in
           match
             Service.compile (Server.service server) ~tenant:e.Protocol.tenant
               ~priority:e.Protocol.priority ?deadline_ms:e.Protocol.deadline_ms
@@ -72,22 +58,16 @@ let handle_request server (e : Protocol.envelope) =
                 (* The modeled runner executes one frame per request;
                    [frames] is accepted for protocol compatibility. *)
                 ignore frames;
-                let r = R.run ~pmu dr.L.app ~inputs:(workload ()) in
+                let r = R.run ~pmu dr.L.app ~inputs:(b.Suite.workload ()) in
                 (* Persist the run's fabric profile under the build's
                    own cache key — a later Profile request (any tenant,
                    cached or dedup'd build) reads this document. The
                    attribution report is embedded so clients need no
                    insight pass of their own. *)
-                let profile =
-                  Pld_core.Fabric_profile.of_run ?trace:e.Protocol.trace
-                    ~tenant:e.Protocol.tenant ~pmu outcome.Service.o_app r
-                in
-                let bk = Pld_insight.Bottleneck.attribute profile in
                 let doc =
-                  match Pld_core.Fabric_profile.to_json profile with
-                  | Json.Obj fields ->
-                      Json.Obj (fields @ [ ("attribution", Pld_insight.Bottleneck.to_json bk) ])
-                  | other -> other
+                  Pld_insight.Bottleneck.profile_doc
+                    (Pld_core.Fabric_profile.of_run ?trace:e.Protocol.trace
+                       ~tenant:e.Protocol.tenant ~pmu outcome.Service.o_app r)
                 in
                 Service.put_profile (Server.service server) g level doc;
                 Protocol.reply_ok ~id

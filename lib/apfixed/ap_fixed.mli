@@ -10,7 +10,6 @@ type t
 
 val width : t -> int
 val int_bits : t -> int
-val frac_bits : t -> int
 val signed : t -> bool
 val raw : t -> Bits.t
 

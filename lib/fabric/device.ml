@@ -17,7 +17,6 @@ let tile_capacity = function
   | Shell | Noc | Hbm -> N.res_zero
 
 let slr_of_row t row = if row >= t.slr_boundary_row then 1 else 0
-let in_bounds t x y = x >= 0 && x < t.cols && y >= 0 && y < t.rows
 let kind_at t x y = t.kind.(x).(y)
 
 (* Column composition of the three page groups plus the interface

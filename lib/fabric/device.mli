@@ -27,7 +27,6 @@ val tile_capacity : tile_kind -> Pld_netlist.Netlist.res
 
 val slr_of_row : t -> int -> int
 
-val in_bounds : t -> int -> int -> bool
 val kind_at : t -> int -> int -> tile_kind
 
 val u50_model : unit -> t

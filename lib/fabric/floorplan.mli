@@ -29,8 +29,6 @@ val find_page : t -> int -> page
 
 val page_of_tile : t -> int -> int -> page option
 
-val rect_tiles : rect -> (int * int) list
-
 val rect_capacity : Device.t -> rect -> Pld_netlist.Netlist.res
 
 val type_summary : t -> (int * Pld_netlist.Netlist.res * int) list

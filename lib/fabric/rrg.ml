@@ -60,7 +60,3 @@ let build device region =
   let out_edges = Array.make nodes [] in
   Array.iteri (fun i e -> out_edges.(e.src) <- i :: out_edges.(e.src)) edges;
   { device; region; nodes; edges; out_edges }
-
-let manhattan t a b =
-  let ax, ay = tile_of_node t a and bx, by = tile_of_node t b in
-  abs (ax - bx) + abs (ay - by)

@@ -29,5 +29,3 @@ val tile_of_node : t -> node -> int * int
 val build : Device.t -> Floorplan.rect -> t
 (** Wire capacity per tile boundary is 14; SLR crossings get 4 wires at
     3× delay. *)
-
-val manhattan : t -> node -> node -> int

@@ -54,8 +54,6 @@ val create : ?seed:int -> spec -> t
 val seed : t -> int
 val spec : t -> spec
 
-val page_defective : t -> int -> bool
-
 val load_corrupts : t -> page:int -> bool
 (** Decide the fate of one load attempt of [page] (defective pages
     always corrupt; flaky pages corrupt their first [n] attempts).

@@ -10,10 +10,6 @@
 
 open Pld_ir
 
-val width_of_expr : Op.t -> (string, Dtype.t) Hashtbl.t -> Expr.t -> int
-(** Static width inference used by the area model: HLS growth rules
-    applied structurally. *)
-
 val split_oversized : Pld_netlist.Netlist.t -> Pld_netlist.Netlist.t
 (** Decompose macros wider than one tile into chained slice-sized
     subcells (applied automatically by {!synthesize}; exposed for

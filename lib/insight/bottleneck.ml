@@ -184,3 +184,8 @@ let to_json r =
                  ])
              r.bk_findings) );
     ]
+
+let profile_doc p =
+  match P.to_json p with
+  | Json.Obj fields -> Json.Obj (fields @ [ ("attribution", to_json (attribute p)) ])
+  | other -> other

@@ -51,4 +51,8 @@ val render : report -> string list
 (** Ranked human-readable bottleneck report, one finding per line
     group: culprit, attributed share, and the walk's victims. *)
 
-val to_json : report -> Pld_telemetry.Json.t
+val profile_doc : P.t -> Pld_telemetry.Json.t
+(** The full profile document: {!Pld_core.Fabric_profile.to_json}
+    plus an ["attribution"] field holding this pass's report. [pldd]
+    persists it and [pldc profile --json] prints it, so both export
+    paths validate identically. *)

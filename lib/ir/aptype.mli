@@ -19,8 +19,6 @@ val rem : t -> t -> t
 val neg : t -> t
 val bitwise : t -> t -> t
 val shift : t -> t
-val compare_result : t
-val lognot_result : t -> t
 
 type env = string -> Dtype.t
 (** Variable (or array-element) dtype lookup; loop variables are

@@ -68,13 +68,6 @@ let vars t =
   go t;
   List.rev !out
 
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Idx (_, i) -> Stdlib.( + ) 1 (size i)
-  | Bin (_, x, y) -> Stdlib.( + ) 1 (Stdlib.( + ) (size x) (size y))
-  | Un (_, x) | Cast (_, x) | Bitcast (_, x) -> Stdlib.( + ) 1 (size x)
-  | Select (c, x, y) -> Stdlib.( + ) 1 (Stdlib.( + ) (size c) (Stdlib.( + ) (size x) (size y)))
-
 let binop_name = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Rem -> "%"
   | And -> "&" | Or -> "|" | Xor -> "^"

@@ -45,9 +45,6 @@ val ( lxor ) : t -> t -> t
 val vars : t -> string list
 (** Free variable and array names, deduplicated, in first-use order. *)
 
-val size : t -> int
-(** Node count — used by the HLS area heuristics. *)
-
 val pp : Format.formatter -> t -> unit
 (** C-like rendering. *)
 

@@ -29,10 +29,6 @@ let word_port name = port name Dtype.word
 let scalar ?init name dtype = Scalar { name; dtype; init }
 let array ?init name dtype length = Array { name; dtype; length; init }
 
-let decl_name = function Scalar { name; _ } | Array { name; _ } -> name
-
-let find_local t name = List.find_opt (fun d -> decl_name d = name) t.locals
-let find_input t name = List.find_opt (fun p -> p.port_name = name) t.inputs
 let find_output t name = List.find_opt (fun p -> p.port_name = name) t.outputs
 
 let rec stmt_size s =
@@ -45,24 +41,6 @@ let rec stmt_size s =
       + List.fold_left (fun acc s -> acc + stmt_size s) 0 b
 
 let stmt_count t = List.fold_left (fun acc s -> acc + stmt_size s) 0 t.body
-
-let rec stmt_work s =
-  match s with
-  | Assign (LVar _, e) -> Expr.size e
-  | Assign (LIdx (_, i), e) -> Expr.size i + Expr.size e
-  | Read _ -> 2
-  | Write (_, e) -> 1 + Expr.size e
-  | Printf _ -> 1
-  | For { lo; hi; body; _ } ->
-      let per = List.fold_left (fun acc s -> acc + stmt_work s) 0 body in
-      max 0 (hi - lo) * per
-  | If (c, a, b) ->
-      (* Hardware evaluates both arms; cost both, plus the condition. *)
-      Expr.size c
-      + List.fold_left (fun acc s -> acc + stmt_work s) 0 a
-      + List.fold_left (fun acc s -> acc + stmt_work s) 0 b
-
-let work_estimate t = List.fold_left (fun acc s -> acc + stmt_work s) 0 t.body
 
 let pp_lvalue fmt = function
   | LVar v -> Format.pp_print_string fmt v

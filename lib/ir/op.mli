@@ -43,16 +43,10 @@ val word_port : string -> port
 val scalar : ?init:Value.t -> string -> Dtype.t -> decl
 val array : ?init:Value.t array -> string -> Dtype.t -> int -> decl
 
-val find_local : t -> string -> decl option
-val find_input : t -> string -> port option
 val find_output : t -> string -> port option
 
 val stmt_count : t -> int
 (** Static statement count (loop bodies counted once). *)
-
-val work_estimate : t -> int
-(** Dynamic expression-node count with loop trip counts expanded —
-    the HLS and RISC-V cost models both start from this. *)
 
 val source : t -> string
 (** C-like rendering of the whole operator; hashing this is how the

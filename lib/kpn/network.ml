@@ -111,8 +111,6 @@ let drain c =
   List.rev !out
 
 let occupancy c = Queue.length c.buf
-let channel_name c = c.chan_name
-let elem_type c = c.elem
 
 let add_process t ~name body = t.procs <- (name, body) :: t.procs
 

@@ -63,8 +63,6 @@ val drain : channel -> Value.t list
 (** Remove and return all buffered tokens (host-side). *)
 
 val occupancy : channel -> int
-val channel_name : channel -> string
-val elem_type : channel -> Dtype.t
 
 val add_process : t -> name:string -> (unit -> unit) -> unit
 

@@ -143,11 +143,6 @@ let add_fifo_links t links =
     links;
   Builder.finish b
 
-let stats_line t =
-  let r = total_res t in
-  Printf.sprintf "%s: %d cells, %d nets, %d LUT %d FF %d BRAM18 %d DSP" t.nl_name
-    (cell_count t) (net_count t) r.luts r.ffs r.brams r.dsps
-
 (* ---------- structural diff (incremental P&R) ---------- *)
 
 type diff = {
@@ -220,8 +215,3 @@ let diff_change_fraction d =
   let total = kept + changed in
   if total = 0 then 1.0
   else float_of_int (changed + List.length d.cells_removed) /. float_of_int total
-
-let diff_summary d =
-  Printf.sprintf "cells: %d kept %d changed %d removed; nets: %d kept %d changed %d removed"
-    (List.length d.cells_kept) (List.length d.cells_changed) (List.length d.cells_removed)
-    (List.length d.nets_kept) (List.length d.nets_changed) (List.length d.nets_removed)

@@ -65,8 +65,6 @@ val add_fifo_links : t -> (string * string * string * int) list -> t
     them with nets — the -O3 kernel generator of Fig. 7. Port cell
     names must match exactly. *)
 
-val stats_line : t -> string
-
 (** {2 Structural diff}
 
     Cells are matched across two netlists by [cname] (stable: HLS emits
@@ -97,5 +95,3 @@ val diff_is_empty : diff -> bool
 val diff_change_fraction : diff -> float
 (** Changed + removed cells over current cell count; 1.0 when the new
     netlist is empty. Drives the fall-back-to-scratch decision. *)
-
-val diff_summary : diff -> string

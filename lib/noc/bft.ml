@@ -171,7 +171,6 @@ let create ?(leaves = 32) ?faults ?(telemetry = Telemetry.default) ?pmu () =
   t
 
 let leaf_count t = t.leaves
-let level_count t = t.depth
 let telemetry t = t.tele
 let set_faults t f = t.faults <- f
 

@@ -70,7 +70,6 @@ val create :
     [noc.deflections]. *)
 
 val leaf_count : t -> int
-val level_count : t -> int
 
 val telemetry : t -> Pld_telemetry.Telemetry.t
 (** The sink this network records into (harnesses layered on top —

@@ -55,9 +55,6 @@ let l1 t = t.l1
 let page_state t p = Option.value ~default:Empty (Hashtbl.find_opt t.pages p)
 let dma_leaf = 0
 
-(* Pages map to NoC leaves 1..22 in page-id order. *)
-let page_leaf _t page = page
-
 let pcie_bytes_per_sec = 2.0e9
 let config_latency = 0.002
 

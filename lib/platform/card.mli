@@ -37,13 +37,9 @@ val noc : t -> Pld_noc.Bft.t
 (** Live only while the overlay is loaded; raises [Failure] otherwise. *)
 
 val l1 : t -> l1_state
-val page_state : t -> int -> page_state
 
 val dma_leaf : int
 (** NoC leaf index of the DMA engine (0). *)
-
-val page_leaf : t -> int -> int
-(** NoC leaf index serving a page. *)
 
 exception Protocol_error of string
 

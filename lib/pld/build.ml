@@ -11,6 +11,13 @@ type level = O0 | O1 | O3 | Vitis
 
 let level_name = function O0 -> "-O0" | O1 -> "-O1" | O3 -> "-O3" | Vitis -> "vitis"
 
+let level_of_name = function
+  | "-O0" | "O0" | "o0" | "0" -> Ok O0
+  | "-O1" | "O1" | "o1" | "1" -> Ok O1
+  | "-O3" | "O3" | "o3" | "3" -> Ok O3
+  | "vitis" | "Vitis" -> Ok Vitis
+  | s -> Error (Printf.sprintf "unknown level %S (use O0, O1, O3 or vitis)" s)
+
 exception Build_error = Flow.Build_error
 
 type compiled_operator = Hw_page of Flow.o1_operator | Soft_page of Flow.o0_operator

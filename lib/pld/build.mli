@@ -14,6 +14,10 @@ type level = O0 | O1 | O3 | Vitis
 
 val level_name : level -> string
 
+val level_of_name : string -> (level, string) result
+(** The one level parser: [-O0], [O0], [o0] and [0] (likewise for 1
+    and 3), and [vitis] or [Vitis]. Inverts {!level_name}. *)
+
 exception Build_error of string
 (** Re-export of {!Flow.Build_error}: a build artifact or graph piece
     that should exist does not. Replaces the bare [Option.get] /
@@ -80,7 +84,6 @@ type cache
 val kind_page : string
 val kind_softcore : string
 val kind_mono : string
-val kind_profile : string
 
 val create_cache :
   ?dir:string ->

@@ -20,9 +20,6 @@ val find_instance_exn : context:string -> Graph.t -> string -> Graph.instance
 (** Like [Graph.find_instance] but raises {!Build_error} naming the
     [context], the graph, and the known instances. *)
 
-val find_channel_exn : context:string -> Graph.t -> string -> Graph.channel
-(** Like [Graph.find_channel] but raises {!Build_error}. *)
-
 type phase_times = {
   hls : float;
   syn : float;

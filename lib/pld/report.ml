@@ -101,15 +101,6 @@ let area_row app =
     (if pages = 0 then "-" else string_of_int pages);
   ]
 
-let perf_row (r : Runner.result) =
-  let ms = r.Runner.perf.Runner.ms_per_input in
-  [
-    Printf.sprintf "%.0fMHz" r.Runner.perf.Runner.fmax_mhz;
-    (if ms >= 1000.0 then Printf.sprintf "%.0f s" (ms /. 1000.0)
-     else if ms >= 1.0 then Printf.sprintf "%.1f ms" ms
-     else Printf.sprintf "%.0f us" (ms *. 1000.0));
-  ]
-
 (* ---------- fault recovery ---------- *)
 
 let build_recovery_lines (r : Build.report) =

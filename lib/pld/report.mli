@@ -24,9 +24,6 @@ val trace_lines : Pld_telemetry.Telemetry.t -> string list
 val area_row : Build.app -> string list
 (** [LUT; BRAM18; DSP; pages] — one Tab. 4 cell group. *)
 
-val perf_row : Runner.result -> string list
-(** [Fmax; ms/input] — one Tab. 3 cell group. *)
-
 val build_recovery_lines : Build.report -> string list
 (** Quarantined jobs and softcore fallbacks of one build — empty when
     the build was healthy. *)

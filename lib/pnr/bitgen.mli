@@ -17,6 +17,3 @@ val generate :
   region:Floorplan.rect -> placement:(int * int) array -> routes:Route.route list -> N.t -> t
 
 val size_bytes : t -> int
-
-val frames_per_tile : int
-(** Configuration bytes per tile — the size model constant. *)

@@ -17,9 +17,6 @@ type result = {
   seconds : float;
 }
 
-val fits_region : Device.t -> Floorplan.rect -> N.t -> bool
-(** Aggregate capacity check: does the netlist fit the region at all? *)
-
 val intrinsic_overfill : device:Device.t -> region:Floorplan.rect -> N.t -> float
 (** The overfill no placement of this netlist in this region can go
     below: each cell's best-case weighted overflow on the friendliest

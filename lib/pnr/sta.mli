@@ -12,7 +12,5 @@ type result = {
   critical_cells : string list;  (** cell names on the worst path *)
 }
 
-val is_sequential : N.kind -> bool
-
 val analyze : ?clock_target_mhz:float -> N.t -> net_delay_ns:float array -> result
 (** [net_delay_ns] is indexed by net id (from routing, or estimates). *)

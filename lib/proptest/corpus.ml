@@ -13,12 +13,7 @@ type entry = {
 let version = 1
 
 let level_of_name s =
-  match s with
-  | "-O0" | "O0" -> B.O0
-  | "-O1" | "O1" -> B.O1
-  | "-O3" | "O3" -> B.O3
-  | "vitis" | "Vitis" -> B.Vitis
-  | _ -> raise (Serial.Malformed (Printf.sprintf "unknown level %S" s))
+  match B.level_of_name s with Ok l -> l | Error msg -> raise (Serial.Malformed msg)
 
 let entry_to_json e =
   Json.Obj

@@ -19,7 +19,6 @@ type entry = {
   mutation : Mutate.t option;
 }
 
-val entry_to_json : entry -> Pld_telemetry.Json.t
 val entry_of_json : Pld_telemetry.Json.t -> entry
 (** Raises {!Serial.Malformed} on undecodable documents. *)
 

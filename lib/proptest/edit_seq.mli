@@ -14,7 +14,6 @@
     delta build may never be congested (overused routing edges) or
     lose legality when the scratch build of the same source is legal. *)
 
-open Pld_ir
 module B = Pld_core.Build
 
 type edit =
@@ -22,11 +21,6 @@ type edit =
   | Swap of { a : string * string; b : string * string }
       (** exchange two [(instance, input port)] bindings of one instance *)
   | Grow_fifo of { chan : string; add : int }  (** deepen one internal FIFO *)
-
-val describe_edit : edit -> string
-
-val apply_edit : edit -> Graph.t -> Graph.t
-(** Pure source edit; unknown names leave the graph unchanged. *)
 
 type options = {
   q_seed : int;
@@ -42,7 +36,7 @@ val default_options : options
 
 type step_report = {
   p_step : int;  (** 1-based position in the sequence *)
-  p_edit : string;  (** {!describe_edit} *)
+  p_edit : string;  (** the edit, rendered for humans *)
   p_fallback : string option;
       (** [None] when the delta path ran; [Some reason] when it fell
           back to scratch *)

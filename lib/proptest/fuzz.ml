@@ -18,11 +18,9 @@ type options = {
 let dedup l = List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] l
 
 let level_of_name s =
-  match s with
-  | "-O0" | "O0" | "o0" -> Ok B.O0
-  | "-O1" | "O1" | "o1" -> Ok B.O1
-  | "-O3" | "O3" | "o3" -> Ok B.O3
-  | _ -> Error (Printf.sprintf "unknown level %S (expected O0, O1 or O3)" s)
+  match B.level_of_name s with
+  | Ok B.Vitis -> Error (Printf.sprintf "level %S cannot be fuzzed (use O0, O1 or O3)" s)
+  | r -> r
 
 (* "O0:O3,O1:O3" -> [(O0, O3); (O1, O3)] *)
 let parse_level_pairs s =

@@ -11,7 +11,6 @@ module Bits = Pld_apfixed.Bits
 type failure = { f_class : string; f_where : string; f_detail : string }
 
 let failure_to_string f = Printf.sprintf "[%s @ %s] %s" f.f_class f.f_where f.f_detail
-let fmt_failure ppf f = Format.pp_print_string ppf (failure_to_string f)
 
 type config = {
   levels : B.level list;

@@ -25,7 +25,6 @@ type failure = { f_class : string; f_where : string; f_detail : string }
     invariant; [f_detail] is human-readable. *)
 
 val failure_to_string : failure -> string
-val fmt_failure : Format.formatter -> failure -> unit
 
 type config = {
   levels : B.level list;  (** levels to compile and compare *)
@@ -51,12 +50,9 @@ val compare_streams :
     patterns, so dtype bookkeeping can neither mask nor fake a
     difference). *)
 
-val classify : where:string -> exn -> failure
-(** Map the toolchain's exceptions (build errors, stalls, traps,
-    validation, codegen limits) to stable failure classes. *)
-
 val catching : where:string -> (unit -> 'a) -> ('a, failure) result
-(** Run a thunk, turning any exception into a {!classify}d failure. *)
+(** Run a thunk, turning any exception into a failure with a stable
+    class (build errors, stalls, traps, validation, codegen limits). *)
 
 val check : ?config:config -> Graph.t -> inputs:(string * Value.t list) list -> failure list
 (** Full differential + invariant check of one case. Empty list =

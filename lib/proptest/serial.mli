@@ -11,11 +11,6 @@ module Json = Pld_telemetry.Json
 exception Malformed of string
 (** Raised by every [*_of_json] on a document that does not decode. *)
 
-val value_to_json : Value.t -> Json.t
-val value_of_json : Json.t -> Value.t
-val expr_to_json : Expr.t -> Json.t
-val expr_of_json : Json.t -> Expr.t
-val op_to_json : Op.t -> Json.t
 val op_of_json : Json.t -> Op.t
 val graph_to_json : Graph.t -> Json.t
 val graph_of_json : Json.t -> Graph.t

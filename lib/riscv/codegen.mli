@@ -12,9 +12,9 @@
 
     Memory layout (192 KB unified memory):
     - text at 0x0
-    - variable slots + constant pool at {!data_base}
-    - expression temporaries (32 B each) at {!temp_base}
-    - operand-address spill cells at {!spill_base} *)
+    - variable slots + constant pool at 0x10000
+    - expression temporaries (32 B each) at 0x1C000
+    - operand-address spill cells at 0x2C000 *)
 
 open Pld_ir
 
@@ -34,10 +34,6 @@ type program = {
   footprint_bytes : int;  (** code + data, the Tab-in-§5.2 30-60 KB *)
   port_map : (string * int) list;  (** port name → MMIO stream index *)
 }
-
-val data_base : int
-val temp_base : int
-val spill_base : int
 
 exception Unsupported of string
 (** Raised for operators outside the -O0 subset (locals wider than 64

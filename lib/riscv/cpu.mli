@@ -76,7 +76,6 @@ val load_words : t -> addr:int -> int32 array -> unit
 val read_word : t -> int -> int32
 val write_word : t -> int -> int32 -> unit
 val read_reg : t -> int -> int32
-val write_reg : t -> int -> int32 -> unit
 
 val inject_trap : t -> string -> unit
 (** Force the core into [Trapped] with its current machine state —

@@ -12,7 +12,3 @@ val boot :
   Cpu.t
 (** Stream callbacks are indexed by the operator's port order (inputs
     and outputs numbered independently from 0). *)
-
-val read_slot : Cpu.t -> addr:int -> Pld_ir.Aptype.t -> Pld_ir.Value.t
-val write_slot : Cpu.t -> addr:int -> Pld_ir.Value.t -> unit
-(** Slot codec shared with the runtime handler (exposed for tests). *)

@@ -8,7 +8,6 @@ open Pld_ir
 
 val image_size : int
 val n_images : int
-val n_classes : int
 
 val graph : ?seed:int -> ?target:Graph.target -> unit -> Graph.t
 (** Input ["images_in"]: 64 pixel words per image (4-bit values);

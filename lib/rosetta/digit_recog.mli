@@ -6,11 +6,6 @@
 
 open Pld_ir
 
-val n_stages : int
-val vectors_per_stage : int
-val words_per_digit : int
-val n_tests : int
-
 val graph : ?seed:int -> ?target:Graph.target -> unit -> Graph.t
 (** [seed] generates the baked-in training set. Input ["digits_in"]:
     7 words per test digit; output ["labels_out"]: 1 label word per

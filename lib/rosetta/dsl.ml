@@ -72,7 +72,6 @@ let rec reduce_tree = function
       in
       reduce_tree (pairs es)
 
-let words_of_values vs = List.map (fun v -> Value.to_int (Value.bitcast u32 v)) vs
 let word_values ws = List.map (fun w -> Value.of_int u32 w) ws
 let fx_word x = Value.bitcast u32 (Value.of_float fx32 x)
 let fx_of_word w = Value.to_float (Value.bitcast fx32 w)

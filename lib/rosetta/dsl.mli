@@ -73,7 +73,6 @@ val reduce_tree : Expr.t list -> Expr.t
 (** Balanced addition tree — keeps inferred widths logarithmic, the
     way HLS builds reduction adders. *)
 
-val words_of_values : Value.t list -> int list
 val word_values : int list -> Value.t list
 val fx_word : float -> Value.t
 (** ap_fixed<32,17> encoded into a 32-bit stream word. *)

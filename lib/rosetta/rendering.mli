@@ -4,7 +4,6 @@
 
 open Pld_ir
 
-val n_triangles : int
 val height : int
 val width : int
 

@@ -5,13 +5,9 @@
 
 open Pld_ir
 
-val n_features : int
-val n_lanes : int
-val n_samples : int
-
 val graph : ?seed:int -> ?target:Graph.target -> unit -> Graph.t
-(** Input ["samples_in"]: [n_features] ap_fixed<32,17> words per
-    sample; output ["verdict_out"]: one word per sample (1 = spam). *)
+(** Input ["samples_in"]: 64 ap_fixed<32,17> words per sample;
+    output ["verdict_out"]: one word per sample (1 = spam). *)
 
 val workload : ?seed:int -> unit -> (string * Value.t list) list
 val reference : ?seed:int -> (string * Value.t list) list -> (float * int) list

@@ -68,7 +68,6 @@ val run :
 (** [run_seeds ~seeds:[seed]] for a single seed (default 7). *)
 
 val ok : report -> bool
-val scenario_ok : scenario_report -> bool
 
 val counters : report -> (string * int) list
 (** All scenario counters, name-spaced ["<scenario>.<counter>"]. *)

@@ -184,10 +184,3 @@ let render_status j =
       (list "builds")
   in
   (head :: counters :: tenants) @ builds
-
-let level_of_name = function
-  | "O0" | "o0" | "-O0" -> Ok Pld_core.Build.O0
-  | "O1" | "o1" | "-O1" -> Ok Pld_core.Build.O1
-  | "O3" | "o3" | "-O3" -> Ok Pld_core.Build.O3
-  | "Vitis" | "vitis" -> Ok Pld_core.Build.Vitis
-  | other -> Error (Printf.sprintf "unknown level %S (want O0|O1|O3|Vitis)" other)

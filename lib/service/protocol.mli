@@ -9,8 +9,8 @@
 type request =
   | Ping
   | Compile of { bench : string; level : string }
-      (** [level] is a {!Pld_core.Build.level_name}: ["O0"], ["O1"],
-          ["O3"] or ["Vitis"]. *)
+      (** [level] is any spelling {!Pld_core.Build.level_of_name}
+          accepts, e.g. ["O1"] or ["vitis"]. *)
   | Run of { bench : string; level : string; frames : int }
       (** Compile, link and execute with [frames] ramp words on every
           graph input. *)
@@ -95,5 +95,3 @@ val render_status : Pld_telemetry.Json.t -> string list
     state, queue occupancy), a counters line, one line per tenant
     (quota occupancy and latency quantiles), and one line per in-flight
     build (age and trace id). Used by [pldc status] and [pldc top]. *)
-
-val level_of_name : string -> (Pld_core.Build.level, string) result

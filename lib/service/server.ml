@@ -79,7 +79,7 @@ let handle t ~resolve (e : Protocol.envelope) =
       Protocol.reply_ok ~id (Json.Obj [ ("stopping", Json.Bool true) ])
   | Protocol.Run _ -> Protocol.reply_error ~id "run is not supported by this server"
   | Protocol.Profile { bench; level } -> (
-      match (resolve bench, Protocol.level_of_name level) with
+      match (resolve bench, Pld_core.Build.level_of_name level) with
       | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
       | Ok g, Ok level ->
           (* The profile rides the build's own cache key, so a tenant
@@ -97,7 +97,7 @@ let handle t ~resolve (e : Protocol.envelope) =
           in
           Protocol.reply_ok ~id (Json.Obj body))
   | Protocol.Compile { bench; level } -> (
-      match (resolve bench, Protocol.level_of_name level) with
+      match (resolve bench, Pld_core.Build.level_of_name level) with
       | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
       | Ok g, Ok level -> (
           match

@@ -34,11 +34,6 @@ val reply_of_reject : id:int -> Service.reject -> Protocol.reply
     [state] ({!Service.reject_state}) and, for the transient classes, a
     [retry_after_ms] hint {!Client.rpc_retry} honors. *)
 
-val flush_metrics : t -> bool
-(** Write the telemetry metrics snapshot to the server's
-    [metrics_out] path (atomic tmp + rename). [false] when no path is
-    configured or the write failed (logged, never raised). *)
-
 val handle : t -> resolve:(string -> (Pld_ir.Graph.t, string) result) -> Protocol.envelope -> Protocol.reply
 (** Default request semantics: [Ping] (reports draining), [Stats],
     [Shutdown] (calls {!stop}), and [Compile] — resolving the benchmark
@@ -50,7 +45,7 @@ val handle : t -> resolve:(string -> (Pld_ir.Graph.t, string) result) -> Protoco
     {!Service.health_json}, and [Metrics] the registry both ways — a
     ["prometheus"] text exposition ({!Pld_telemetry.Telemetry.to_prometheus})
     and a ["metrics"] JSON document — plus a ["flushed"] flag after an
-    on-demand {!flush_metrics}. *)
+    on-demand flush of the [metrics_out] snapshot. *)
 
 val claim_socket : string -> (unit, string) result
 (** The startup probe described above, exposed for tests: ensure [path]

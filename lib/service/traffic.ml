@@ -93,6 +93,27 @@ let chain_graph chain =
          chain)
     ~inputs:[ "cin" ] ~outputs:[ "cout" ]
 
+let bench_of_name name =
+  match chain_of_name name with
+  | Ok chain ->
+      (* Chains are rate-1, so the ramp workload is always valid and
+         the structural check is vacuous. *)
+      Ok
+        {
+          Pld_rosetta.Suite.name;
+          paper_name = "service traffic chain";
+          graph = (fun _ -> chain_graph chain);
+          workload = (fun () -> chain_workload chain);
+          check = (fun ~inputs:_ _ -> true);
+        }
+  | Error _ -> (
+      match Pld_rosetta.Suite.find name with
+      | b -> Ok b
+      | exception Not_found ->
+          Error
+            (Printf.sprintf "unknown bench %S (rosetta: %s; or a svc-I[xJ...] traffic chain)" name
+               (String.concat ", " Pld_rosetta.Suite.names)))
+
 let zipf_sample rng ~pool ~s =
   let w = Array.init pool (fun r -> 1.0 /. (float_of_int (r + 1) ** s)) in
   let total = Array.fold_left ( +. ) 0.0 w in

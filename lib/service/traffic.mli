@@ -48,9 +48,13 @@ val chain_name : int list -> string
     a remote client sends the daemon to request the same build. *)
 
 val chain_of_name : string -> (int list, string) result
-(** Parse a [chain_name] back (the daemon's resolver). *)
+(** Parse a [chain_name] back. *)
 
-val sample_chain : Pld_util.Rng.t -> options -> int list
+val bench_of_name : string -> (Pld_rosetta.Suite.bench, string) result
+(** The one bench namespace of [pldc] and [pldd]: a Rosetta
+    application by name, or a traffic chain (["svc-3x0x7"]) with its
+    ramp workload and a vacuous output check. The error names every
+    Rosetta bench. *)
 
 type summary = {
   sm_options : options;

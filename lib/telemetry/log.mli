@@ -80,10 +80,6 @@ val arm_flight : t -> ?trip_on_error:bool -> telemetry:Telemetry.t -> file:strin
 
 val disarm_flight : t -> unit
 
-val flight_json : t -> reason:string -> telemetry:Telemetry.t -> Json.t
-(** The dump document without writing it: the reason, the ring's
-    events, and {!Telemetry.to_metrics_json} of [telemetry]. *)
-
 val trip_flight : t -> reason:string -> unit
 (** Write the dump atomically (tmp + rename, so a reader never sees a
     torn file). No-op when not armed; write failures are swallowed —

@@ -127,14 +127,12 @@ val max_gauge : gauge -> float -> unit
 
 val gauge_value : t -> string -> float option
 
-val default_buckets : float list
-(** Exponential upper edges 1e-6 .. 1e4, for duration-like samples in
-    seconds. *)
-
 val histogram : t -> ?buckets:float list -> string -> histogram
 (** Fetch-or-create with the given upper bucket edges (strictly
-    ascending; an implicit +inf bucket is appended). [buckets] is
-    ignored when the histogram already exists. *)
+    ascending; an implicit +inf bucket is appended). [buckets]
+    defaults to exponential edges 1e-6 .. 1e4, for duration-like
+    samples in seconds, and is ignored when the histogram already
+    exists. *)
 
 val observe : histogram -> float -> unit
 

@@ -7,7 +7,6 @@ val percentile : float -> float list -> float
     order statistics. Raises [Invalid_argument] on an empty list. *)
 
 val median : float list -> float
-val min_max : float list -> float * float
 
 val histogram : bins:int -> float list -> (float * float * int) list
 (** [(lo, hi, count)] triples covering min..max in [bins] equal bins. *)

@@ -575,9 +575,10 @@ let test_executor_deadline_stops_run () =
   run 2
 
 let test_executor_pace_overlaps () =
-  (* Four independent jobs, each paced to ~60 ms of modeled tool time:
-     sequentially that is ~240 ms; four workers overlap the sleeps even
-     on one core, because a paced job is blocked, not computing. *)
+  (* Four independent jobs, each paced to ~60 ms of modeled tool time.
+     A paced job is blocked, not computing, so four workers take one
+     job each even on one core: each job span lands on its worker's
+     track, four distinct tracks at -j4 and one at -j1. *)
   let graph () =
     Jobgraph.make
       (List.init 4 (fun i ->
@@ -585,17 +586,20 @@ let test_executor_pace_overlaps () =
              ~id:(Printf.sprintf "job%d" i)
              ~kind:"t" ~model:(fun _ -> 0.06) (fun _ -> i)))
   in
-  let seq = Executor.run ~workers:1 ~pace:1.0 (graph ()) in
-  let par = Executor.run ~workers:4 ~pace:1.0 (graph ()) in
-  check_bool
-    (Printf.sprintf "sequential paced >= 0.2s (got %.3f)" seq.Executor.wall_seconds)
-    true
-    (seq.Executor.wall_seconds >= 0.2);
-  check_bool
-    (Printf.sprintf "parallel beats sequential (%.3f < %.3f)" par.Executor.wall_seconds
-       seq.Executor.wall_seconds)
-    true
-    (par.Executor.wall_seconds < seq.Executor.wall_seconds)
+  let tracks workers =
+    let tele = Telemetry.create () in
+    ignore (Executor.run ~workers ~pace:1.0 ~telemetry:tele (graph ()));
+    let job_spans =
+      List.filter
+        (fun (s : Telemetry.span) ->
+          String.equal s.Telemetry.cat "engine" && String.starts_with ~prefix:"job" s.Telemetry.name)
+        (Telemetry.spans tele)
+    in
+    check_int (Printf.sprintf "-j%d: four job spans" workers) 4 (List.length job_spans);
+    List.sort_uniq compare (List.map (fun (s : Telemetry.span) -> s.Telemetry.track) job_spans)
+  in
+  check_int "-j1 runs every job on one track" 1 (List.length (tracks 1));
+  check_int "-j4 runs the jobs on four tracks" 4 (List.length (tracks 4))
 
 (* ---------- build report aggregates vs the telemetry record ---------- *)
 

@@ -215,7 +215,28 @@ let test_parse_level_pairs () =
   | Error e -> Alcotest.fail e);
   checkb "bad level rejected" true (Result.is_error (Fuzz.parse_level_pairs "O0:O9"));
   checkb "bad shape rejected" true (Result.is_error (Fuzz.parse_level_pairs "O0"));
-  checki "union deduplicates" 2 (List.length (Fuzz.levels_of_pairs [ (B.O0, B.O3); (B.O0, B.O3) ]))
+  checki "union deduplicates" 2 (List.length (Fuzz.levels_of_pairs [ (B.O0, B.O3); (B.O0, B.O3) ]));
+  (* The one level parser takes every spelling any front end (pldc,
+     the daemon protocol, fuzz pairs, corpus files) ever accepted. *)
+  List.iter
+    (fun (spellings, want) ->
+      List.iter
+        (fun s ->
+          checkb (Printf.sprintf "%S parses" s) true (B.level_of_name s = Ok want))
+        spellings)
+    [
+      ([ "-O0"; "O0"; "o0"; "0" ], B.O0);
+      ([ "-O1"; "O1"; "o1"; "1" ], B.O1);
+      ([ "-O3"; "O3"; "o3"; "3" ], B.O3);
+      ([ "vitis"; "Vitis" ], B.Vitis);
+    ];
+  List.iter
+    (fun l -> checkb (B.level_name l ^ " round-trips") true (B.level_of_name (B.level_name l) = Ok l))
+    [ B.O0; B.O1; B.O3; B.Vitis ];
+  List.iter
+    (fun s -> checkb (Printf.sprintf "%S rejected" s) true (Result.is_error (B.level_of_name s)))
+    [ ""; "O2"; "-o1"; "VITIS"; "O1 "; "fast" ];
+  checkb "vitis is not a fuzz level" true (Result.is_error (Fuzz.parse_level_pairs "O0:vitis"))
 
 let suite =
   [

@@ -1,11 +1,11 @@
-(* The service tier: sessions over a shared cache, the multi-tenant
+(* The service tier: compiles sharing one cache, the multi-tenant
    request queue (dedup, admission control, priority), and the paper's
    economic claim — a second tenant asking for an already-built graph
    is served without re-running HLS or P&R, which we assert by counting
    modeled flow spans in a private telemetry sink. *)
 
 module Build = Pld_core.Build
-module Session = Pld_core.Session
+module Loader = Pld_core.Loader
 module Runner = Pld_core.Runner
 module Service = Pld_service.Service
 module Traffic = Pld_service.Traffic
@@ -54,43 +54,32 @@ let check_conserved svc =
 let flow_spans tele =
   List.length (List.filter (fun s -> String.equal s.T.cat "flow") (T.spans tele))
 
-(* ---------- sessions ---------- *)
+(* ---------- sessions: compile, link and run against one cache ---------- *)
 
 let test_session_compile_link_run () =
-  let s = Session.open_session ~name:"unit" () in
+  let cache = Build.create_cache () in
+  let fp = Pld_fabric.Floorplan.u50 () in
   let ops = [ 0; 1 ] in
-  let app = Session.compile s (chain ops) in
+  let app = Build.compile ~cache fp (chain ops) ~level:Build.O1 in
   check_bool "first compile recompiles" true (app.Build.report.Build.recompiled > 0);
-  let app2 = Session.compile s (chain ops) in
+  let app2 = Build.compile ~cache fp (chain ops) ~level:Build.O1 in
   check_int "second compile recompiles nothing" 0 app2.Build.report.Build.recompiled;
   check_bool "second compile is link-time hits" true (app2.Build.report.Build.cache_hits > 0);
-  check_int "compiles counted" 2 (Session.compiles s);
-  check_bool "latest app remembered" true
-    (List.mem_assoc (Traffic.chain_name ops) (Session.apps s));
-  (* The session's card deploys and runs the app end to end. *)
-  let dr = Session.link s app2 in
-  let r = Session.run s dr ~inputs:(Traffic.chain_workload ops) in
+  (* A card deploys and runs the app end to end. *)
+  let dr = Loader.deploy (Pld_platform.Card.create ()) app2 in
+  let r = Runner.run dr.Loader.app ~inputs:(Traffic.chain_workload ops) in
   check_int "one frame out" (Traffic.chain_tokens ops)
-    (List.length (List.assoc "cout" r.Runner.outputs));
-  Session.close s;
-  Session.close s;
-  (* idempotent *)
-  match Session.compile s (chain ops) with
-  | _ -> Alcotest.fail "expected Session.Closed"
-  | exception Session.Closed _ -> ()
+    (List.length (List.assoc "cout" r.Runner.outputs))
 
 let test_sessions_share_cache () =
   let cache = Build.create_cache () in
-  let s1 = Session.open_session ~cache ~name:"first" () in
-  let s2 = Session.open_session ~cache ~name:"second" () in
+  let fp = Pld_fabric.Floorplan.u50 () in
   let g = chain [ 2; 3 ] in
-  let a1 = Session.compile s1 g in
+  let a1 = Build.compile ~cache fp g ~level:Build.O1 in
   check_bool "first session builds" true (a1.Build.report.Build.recompiled > 0);
-  let a2 = Session.compile s2 g in
+  let a2 = Build.compile ~cache fp g ~level:Build.O1 in
   check_int "second session recompiles nothing" 0 a2.Build.report.Build.recompiled;
-  check_bool "second session hits the shared cache" true (a2.Build.report.Build.cache_hits > 0);
-  Session.close s1;
-  Session.close s2
+  check_bool "second session hits the shared cache" true (a2.Build.report.Build.cache_hits > 0)
 
 (* ---------- service: cache economics ---------- *)
 
@@ -173,23 +162,29 @@ let test_admission_rejects_over_quota () =
   | _ -> Alcotest.fail "expected one tenant"
 
 let test_priority_order () =
-  let svc = Service.create ~queue_workers:1 ~jobs:1 ~pace:0.5 () in
+  let tele = T.create () in
+  let svc = Service.create ~queue_workers:1 ~jobs:1 ~pace:0.5 ~telemetry:tele () in
   Fun.protect ~finally:(fun () -> Service.shutdown svc) @@ fun () ->
   (* While the worker is busy, enqueue a low-priority job first and a
      high-priority one second: the scheduler must dispatch the
-     high-priority job first, so it waits strictly less. *)
+     high-priority job first. Dispatch records the job's queue.wait
+     span, so the order of those spans is the dispatch order. *)
   let blocker = ok_exn (Service.submit svc ~tenant:"t" (chain [ 13; 14; 15 ])) in
-  Unix.sleepf 0.05;
-  let low = ok_exn (Service.submit svc ~tenant:"t" ~priority:0 (chain [ 16 ])) in
-  let high = ok_exn (Service.submit svc ~tenant:"t" ~priority:5 (chain [ 17 ])) in
-  ignore (ok_exn (Service.await svc blocker));
-  let lo = ok_exn (Service.await svc low) in
-  let hi = ok_exn (Service.await svc high) in
-  check_bool
-    (Printf.sprintf "high priority dispatched first (%.3f < %.3f)" hi.Service.o_queue_seconds
-       lo.Service.o_queue_seconds)
-    true
-    (hi.Service.o_queue_seconds < lo.Service.o_queue_seconds)
+  check_bool "blocker dispatched" true
+    (wait_until (fun () -> (Service.stats svc).Service.st_in_flight = 1));
+  let low = ok_exn (Service.submit svc ~tenant:"t" ~priority:0 ~trace_id:"low" (chain [ 16 ])) in
+  let high = ok_exn (Service.submit svc ~tenant:"t" ~priority:5 ~trace_id:"high" (chain [ 17 ])) in
+  List.iter (fun t -> ignore (ok_exn (Service.await svc t))) [ blocker; low; high ];
+  let dispatched =
+    List.filter_map
+      (fun (s : T.span) ->
+        match List.assoc_opt "trace" s.T.attrs with
+        | Some tr when String.equal s.T.name "queue.wait" && List.mem tr [ "low"; "high" ] ->
+            Some tr
+        | _ -> None)
+      (T.spans tele)
+  in
+  Alcotest.(check (list string)) "high priority dispatched first" [ "high"; "low" ] dispatched
 
 (* ---------- robustness: deadlines, watchdog, shed, drain ---------- *)
 
