@@ -23,6 +23,7 @@ module Bottleneck = Pld_insight.Bottleneck
 module Critical_path = Pld_insight.Critical_path
 module Baseline = Pld_insight.Baseline
 module Sentinel = Pld_insight.Sentinel
+module Store = Pld_engine.Store
 open Pld_rosetta
 
 let fp = Pld_fabric.Floorplan.u50 ()
@@ -168,8 +169,8 @@ let faults_arg =
     & info [ "inject-faults" ] ~docv:"SPEC"
         ~doc:
           "Inject faults: comma-separated page=N (defective page), drop=F / corrupt=F (NoC link \
-           rates), load=PAGE\\@N (first N loads garble), hang=INST\\@CYCLES, trap=INST\\@CYCLES \
-           (softcore control faults), job=ID\\@N (first N runs of a build job fail).")
+           rates), load=PAGE@N (first N loads garble), hang=INST@CYCLES, trap=INST@CYCLES \
+           (softcore control faults), job=ID@N (first N runs of a build job fail).")
 
 let fault_seed_arg =
   Arg.(
@@ -418,7 +419,7 @@ let source_cmd =
    internal one. *)
 let open_cache dir =
   try B.create_cache ?dir ()
-  with Pld_engine.Store.Store_error msg -> die (Printf.sprintf "bad --cache-dir: %s" msg)
+  with Store.Store_error msg -> die (Printf.sprintf "bad --cache-dir: %s" msg)
 
 (* ---------- incremental compile state ---------- *)
 
@@ -453,34 +454,16 @@ let pnr_seeds_arg =
            (-O3/vitis) compile and keep the best post-STA timing. Ignored on paged levels; \
            a loaded --incremental-from state wins over seeds.")
 
-(* Incremental compile state: the whole app, marshalled (pure data —
-   graphs, netlists, placements, routes; no closures anywhere in it).
-   A stale or truncated state file degrades to a scratch compile, never
-   to an error. *)
-let inc_state_file dir (b : Suite.bench) level =
-  Filename.concat dir (Printf.sprintf "%s.%s.pnrstate" b.Suite.name (B.level_name level))
-
-let load_previous dir b level : B.app option =
-  let file = inc_state_file dir b level in
-  if not (Sys.file_exists file) then None
-  else
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try Some (Marshal.from_channel ic : B.app)
-        with _ ->
-          Log.warn logger ~sub:"cli"
-            (Printf.sprintf "ignoring unreadable incremental state %s" file);
-          None)
-
-let save_previous dir b level (app : B.app) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let file = inc_state_file dir b level in
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc app [])
+(* Incremental compile state: the whole app (pure data — graphs,
+   netlists, placements, routes; no closures anywhere in it), one
+   [pnrstate] entry per benchmark and level in a store at the
+   --incremental-from directory. The store checks it like any artifact,
+   so a stale or damaged state is a miss: a scratch compile, never an
+   error. A private telemetry sink keeps its counters and gauges out of
+   the --cache-dir store's. *)
+let open_state dir =
+  try Store.open_ ~telemetry:(T.create ()) ~dir ()
+  with Store.Store_error msg -> die (Printf.sprintf "bad --incremental-from: %s" msg)
 
 (* One parseable line per monolithic compile: what the delta path did
    (or why it could not), and the P&R seconds the CI smoke compares. *)
@@ -533,12 +516,16 @@ let compile_cmd =
               die ~code:2
                 (Printf.sprintf "--touch-op: no instance %S in %s" inst b.Suite.name))
     in
-    let previous = Option.bind incremental_from (fun dir -> load_previous dir b level) in
+    let state = Option.map open_state incremental_from in
+    let state_key = Pld_util.Digest_lite.of_parts [ b.Suite.name; B.level_name level ] in
+    let previous =
+      Option.bind state (fun st -> (Store.find st ~kind:"pnrstate" ~key:state_key : B.app option))
+    in
     let app =
       B.compile ~cache ~workers ~jobs ~pace ?faults ~max_retries ?previous ~pnr_seeds fp graph
         ~level
     in
-    Option.iter (fun dir -> save_previous dir b level app) incremental_from;
+    Option.iter (fun st -> Store.put st ~kind:"pnrstate" ~key:state_key app) state;
     print_endline (Pld_core.Report.compile_summary app);
     Printf.printf "  cache: %s\n" (Pld_core.Report.cache_summary app.B.report);
     List.iter (fun (inst, page) -> Printf.printf "  %-16s -> page %d\n" inst page) app.B.assignment;
@@ -689,7 +676,6 @@ let profile_cmd =
 (* ---------- store maintenance ---------- *)
 
 let cache_cmd =
-  let module Store = Pld_engine.Store in
   let scrub_cmd =
     let doc =
       "Audit a persistent artifact store: verify every entry's header and payload digest, \

@@ -136,9 +136,10 @@ let serve socket cache_dir max_bytes scrub_on_start queue_workers jobs workers p
     | None -> None
     | Some s -> Some { Service.default_shed_policy with Service.sp_max_delay_s = s }
   in
-  (* Open the store ourselves (in quarantine mode, so sweep preserves
-     corruption evidence) so --scrub-on-start can audit it before the
-     first request is admitted. *)
+  (* Open the store ourselves (in quarantine mode, so the header check
+     at open and every failed find keep corruption evidence) so
+     --scrub-on-start can run the full payload audit before the first
+     request is admitted. *)
   let cache =
     match cache_dir with
     | None -> None
@@ -279,7 +280,7 @@ let () =
       & opt (some string) None
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
-            "Fault-injection spec (lib/faults syntax); hang=GRAPH\\@MS wedges that graph's compile \
+            "Fault-injection spec (lib/faults syntax); hang=GRAPH@MS wedges that graph's compile \
              for MS milliseconds — the chaos harness's watchdog lever.")
   in
   let metrics_out_arg =

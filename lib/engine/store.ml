@@ -56,38 +56,62 @@ let check_names ~kind ~key =
   if not (Digest.is_hex key) then invalid_arg (Printf.sprintf "Store: bad key %S" key)
 
 (* Header line: "PLD-ARTIFACT v<version> <kind> <key> <payload-digest> <payload-bytes>\n"
-   followed by the marshalled payload. Validation re-digests the
-   payload, so a flipped bit anywhere evicts the entry. *)
+   followed by the marshalled payload. *)
 let header ~kind ~key ~payload =
   Printf.sprintf "%s v%d %s %s %s %d\n" magic version kind key (Digest.of_string payload)
     (String.length payload)
 
-(* Returns the payload if and only if every header field checks out. *)
-let read_valid path ~kind ~key =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match input_line ic with
+(* A header is one short line; a file whose first [max_header] bytes
+   hold no newline is not an entry. *)
+let max_header = 256
+
+(* Reads and checks the header of the entry open on [ic] against the
+   name it was found under: [Some (payload_digest, payload_bytes)] iff
+   magic, version, kind and key match and the file holds exactly the
+   declared payload after the header line. Consumes the header line
+   only: no payload byte leaves the channel, and the only I/O is the
+   channel's first buffer fill. *)
+let read_header ic ~kind ~key =
+  let line = Buffer.create 96 in
+  let rec next_line () =
+    if Buffer.length line >= max_header then None
+    else
+      match input_char ic with
+      | '\n' -> Some (Buffer.contents line)
+      | c ->
+          Buffer.add_char line c;
+          next_line ()
       | exception End_of_file -> None
-      | line -> (
-          match String.split_on_char ' ' line with
-          | [ m; v; k; d; payload_digest; len ] -> (
-              match int_of_string_opt len with
-              | Some n
-                when m = magic
-                     && v = "v" ^ string_of_int version
-                     && k = kind && Digest.equal d key -> (
-                  match really_input_string ic n with
-                  | exception End_of_file -> None
-                  | payload ->
-                      if
-                        Digest.equal (Digest.of_string payload) payload_digest
-                        && pos_in ic = in_channel_length ic
-                      then Some payload
-                      else None)
-              | _ -> None)
-          | _ -> None))
+  in
+  match Option.map (String.split_on_char ' ') (next_line ()) with
+  | Some [ m; v; k; d; payload_digest; len ] -> (
+      match int_of_string_opt len with
+      | Some n
+        when m = magic
+             && v = "v" ^ string_of_int version
+             && k = kind && Digest.equal d key
+             && in_channel_length ic - pos_in ic = n ->
+          Some (payload_digest, n)
+      | _ -> None)
+  | _ -> None
+
+let with_entry path f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+(* The header check [open_] runs on every entry. *)
+let header_valid path ~kind ~key = with_entry path (fun ic -> read_header ic ~kind ~key <> None)
+
+(* The payload if and only if the header checks out and the payload
+   matches its digest, so a flipped bit anywhere is caught. *)
+let read_valid path ~kind ~key =
+  with_entry path (fun ic ->
+      match read_header ic ~kind ~key with
+      | Some (payload_digest, n) ->
+          (match really_input_string ic n with
+          | payload when Digest.equal (Digest.of_string payload) payload_digest -> Some payload
+          | _ | (exception End_of_file) -> None)
+      | None -> None)
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
@@ -290,38 +314,48 @@ let enforce_budget t ~keep =
       in
       go ()
 
-(* ---------- open ---------- *)
+(* ---------- the directory walk ---------- *)
 
-(* Sweep pass, run under the lock at open: orphaned temp files from a
-   crash mid-serialize, foreign/malformed .art names, and entries that
-   fail validation (corruption, stale version) all go. *)
-let sweep t =
-  Array.iter
+let readdir t = Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||])
+
+(* The one pass over the directory, run under the lock by [open_] and
+   [scrub]: orphaned temp files from a crash mid-serialize go, and
+   every [.art] file is checked — a malformed name fails outright, a
+   well-named entry fails when [valid] rejects it or cannot be read.
+   Failures go to [fail]; survivors the index never saw (e.g. the index
+   was lost) are adopted as oldest, so LRU pressure reaches them first;
+   index rows with no surviving entry are dropped. Returns the number
+   of [.art] files scanned and of those that failed. *)
+let walk t ~valid ~fail =
+  let live = Hashtbl.create 64 in
+  let scanned = ref 0 and failed = ref 0 in
+  List.iter
     (fun name ->
       let path = Filename.concat t.root name in
-      if name <> lock_name && name <> index_name && not (Sys.is_directory path) then
-        if Filename.check_suffix name ".tmp" then remove_file path
-        else
+      if Filename.check_suffix name ".tmp" then remove_file path
+      else if Filename.check_suffix name suffix then begin
+        incr scanned;
+        let ok =
           match parse_name name with
-          | None -> if Filename.check_suffix name suffix then discard_entry t name
-          | Some (kind, key) -> (
-              match read_valid path ~kind ~key with
-              | Some _ ->
-                  if not (Hashtbl.mem t.index name) then
-                    (* Known file the index never saw (e.g. the index
-                       was lost): adopt it as oldest, so LRU pressure
-                       reaches it first. *)
-                    Hashtbl.replace t.index name
-                      { stamp = 0; bytes = (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0) }
-              | None | (exception Sys_error _) -> discard_entry t name))
-    (try Sys.readdir t.root with Sys_error _ -> [||]);
-  (* And the reverse: index rows whose entry file is gone. *)
-  let stale =
-    Hashtbl.fold
-      (fun name _ acc -> if Sys.file_exists (Filename.concat t.root name) then acc else name :: acc)
-      t.index []
-  in
-  List.iter (Hashtbl.remove t.index) stale
+          | Some (kind, key) -> ( try valid path ~kind ~key with Sys_error _ -> false)
+          | None -> false
+        in
+        if ok then begin
+          Hashtbl.replace live name ();
+          if not (Hashtbl.mem t.index name) then
+            Hashtbl.replace t.index name
+              { stamp = 0; bytes = (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0) }
+        end
+        else begin
+          incr failed;
+          fail t name
+        end
+      end)
+    (readdir t);
+  Hashtbl.filter_map_inplace (fun name e -> if Hashtbl.mem live name then Some e else None) t.index;
+  (!scanned, !failed)
+
+(* ---------- open ---------- *)
 
 let open_ ?max_bytes ?(quarantine = false) ?(telemetry = T.default) ~dir () =
   (try mkdir_p dir with Unix.Unix_error (e, _, _) ->
@@ -347,7 +381,7 @@ let open_ ?max_bytes ?(quarantine = false) ?(telemetry = T.default) ~dir () =
     }
   in
   with_lock t (fun () ->
-      sweep t;
+      ignore (walk t ~valid:header_valid ~fail:discard_entry);
       enforce_budget t ~keep:"";
       save_index t;
       publish_gauges t);
@@ -366,35 +400,26 @@ let find (type a) t ~kind ~key : a option =
   check_names ~kind ~key;
   with_lock t (fun () ->
       let name = kind ^ "-" ^ key ^ suffix in
-      let path = entry_path t.root ~kind ~key in
-      let miss () =
-        bump t kind `Miss;
-        None
-      in
-      if not (Sys.file_exists path) then begin
-        Hashtbl.remove t.index name;
-        miss ()
-      end
-      else
-        match read_valid path ~kind ~key with
-        | Some payload -> (
-            match (Marshal.from_string payload 0 : a) with
-            | v ->
-                bump t kind `Hit;
-                touch t name;
-                save_index t;
-                Some v
-            | exception _ ->
-                discard_entry t name;
-                save_index t;
-                publish_gauges t;
-                miss ())
-        | None ->
-            discard_entry t name;
-            save_index t;
-            publish_gauges t;
-            miss ()
-        | exception Sys_error _ -> miss ())
+      match read_valid (entry_path t.root ~kind ~key) ~kind ~key with
+      | exception Sys_error _ ->
+          (* No entry file (or an unreadable one): a plain miss. *)
+          Hashtbl.remove t.index name;
+          bump t kind `Miss;
+          None
+      | payload -> (
+          match Option.map (fun p -> (Marshal.from_string p 0 : a)) payload with
+          | Some v ->
+              bump t kind `Hit;
+              touch t name;
+              save_index t;
+              Some v
+          | None | (exception _) ->
+              (* Failed validation: evict, then miss. *)
+              discard_entry t name;
+              save_index t;
+              publish_gauges t;
+              bump t kind `Miss;
+              None))
 
 let put t ~kind ~key v =
   check_names ~kind ~key;
@@ -424,29 +449,9 @@ let put t ~kind ~key v =
       save_index t;
       publish_gauges t)
 
-let mem t ~kind ~key =
-  check_names ~kind ~key;
-  with_lock t (fun () ->
-      let name = kind ^ "-" ^ key ^ suffix in
-      let path = entry_path t.root ~kind ~key in
-      if
-        Sys.file_exists path
-        && match read_valid path ~kind ~key with Some _ -> true | None | (exception Sys_error _) -> false
-      then begin
-        bump t kind `Hit;
-        touch t name;
-        save_index t;
-        true
-      end
-      else begin
-        bump t kind `Miss;
-        false
-      end)
-
 let entries t =
   with_lock t (fun () ->
-      Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||])
-      |> List.filter_map parse_name)
+      List.filter_map parse_name (readdir t))
 
 let count t = List.length (entries t)
 
@@ -459,38 +464,22 @@ type scrub_report = {
   sc_quarantine_dir : string;
 }
 
-(* Full on-demand validation pass: every entry file is re-read and
-   re-digested; failures move to store.quarantine/ regardless of the
-   handle's open mode, so torn writes from a crashed peer degrade to
-   clean misses instead of exceptions at some later find. *)
+(* The full audit: the walk with every payload re-read and
+   re-digested, failures quarantined regardless of the handle's open
+   mode, so torn writes from a crashed peer degrade to clean misses
+   instead of exceptions at some later find. *)
 let scrub t =
   with_lock t (fun () ->
-      let scanned = ref 0 and ok = ref 0 and bad = ref 0 in
-      Array.iter
-        (fun name ->
-          let path = Filename.concat t.root name in
-          if name <> lock_name && name <> index_name && not (Sys.is_directory path) then
-            if Filename.check_suffix name ".tmp" then remove_file path
-            else if Filename.check_suffix name suffix then begin
-              incr scanned;
-              match parse_name name with
-              | None ->
-                  incr bad;
-                  quarantine_entry t name
-              | Some (kind, key) -> (
-                  match read_valid path ~kind ~key with
-                  | Some _ -> incr ok
-                  | None | (exception Sys_error _) ->
-                      incr bad;
-                      quarantine_entry t name)
-            end)
-        (try Sys.readdir t.root with Sys_error _ -> [||]);
+      let scanned, failed =
+        walk t ~valid:(fun path ~kind ~key -> read_valid path ~kind ~key <> None)
+          ~fail:quarantine_entry
+      in
       save_index t;
       publish_gauges t;
       {
-        sc_scanned = !scanned;
-        sc_ok = !ok;
-        sc_quarantined = !bad;
+        sc_scanned = scanned;
+        sc_ok = scanned - failed;
+        sc_quarantined = failed;
         sc_quarantine_dir = quarantine_dir t;
       })
 
@@ -500,12 +489,7 @@ let render_scrub r =
 
 let clear t =
   with_lock t (fun () ->
-      Array.iter
-        (fun name ->
-          match parse_name name with
-          | Some _ -> drop_entry t name
-          | None -> ())
-        (try Sys.readdir t.root with Sys_error _ -> [||]);
+      List.iter (fun name -> if parse_name name <> None then drop_entry t name) (readdir t);
       save_index t;
       publish_gauges t)
 

@@ -15,8 +15,10 @@
 
     Entries are never trusted: every file carries a versioned header
     with the payload's own digest, and anything that fails validation —
-    wrong magic, older store version, digest mismatch, truncation — is
-    evicted (deleted) and treated as a miss.
+    wrong magic, older store version, truncation, digest mismatch — is
+    evicted (deleted) and treated as a miss. Each check happens in one
+    place: {!open_} reads headers only, {!find} digests the payload it
+    is about to deserialize, and {!scrub} is the one full audit.
 
     {b Concurrency.} All operations are safe from multiple domains of
     one process (a mutex per handle) {e and} from multiple processes
@@ -52,14 +54,18 @@ val open_ :
   unit ->
   t
 (** Opens (creating if needed) the store rooted at [dir], sweeps
-    invalid or stale entries and orphaned [*.tmp] files, and loads the
-    access-time index. [max_bytes] (default: unbounded) is the LRU
-    size budget over payload bytes. With [quarantine] (default
-    [false]), entries failing validation — at the open sweep or at any
-    later [find] — are moved into [store.quarantine/] instead of
-    deleted, preserving the torn bytes for post-mortem while the live
-    store sees a clean miss. [telemetry] (default
-    {!Pld_telemetry.Telemetry.default}) receives the per-kind
+    orphaned [*.tmp] files and every entry whose header fails — wrong
+    magic, other version, kind or key not matching the filename, file
+    size not matching the declared payload length — and loads the
+    access-time index. Open reads no payload byte: a payload bit-flip
+    survives it, and the {!find} that digests the payload (or a
+    {!scrub}) takes the entry out of the live store. [max_bytes]
+    (default: unbounded) is the LRU size budget over payload bytes.
+    With [quarantine] (default [false]), entries failing validation —
+    at open or at any later [find] — are moved into
+    [store.quarantine/] instead of deleted, preserving the torn bytes
+    for post-mortem while the live store sees a clean miss. [telemetry]
+    (default {!Pld_telemetry.Telemetry.default}) receives the per-kind
     hit/miss/eviction/put counters ([store.<kind>.hits], ...), the
     [store.quarantined] counter and the [store.bytes] /
     [store.entries] gauges. *)
@@ -73,8 +79,9 @@ val quarantine_dir : t -> string
     directory is created lazily on first quarantine. *)
 
 val find : t -> kind:string -> key:Pld_util.Digest_lite.t -> 'a option
-(** [find t ~kind ~key] deserializes the stored artifact, or [None] on
-    miss or eviction. A hit refreshes the entry's LRU stamp. The result
+(** [find t ~kind ~key] checks the entry's header and payload digest
+    and deserializes the stored artifact, or returns [None] on miss or
+    eviction. A hit refreshes the entry's LRU stamp. The result
     type ['a] is whatever was [put] under this [kind]; callers must
     dedicate each kind to exactly one artifact type (the typed
     accessors in [Build] enforce this). *)
@@ -84,15 +91,12 @@ val put : t -> kind:string -> key:Pld_util.Digest_lite.t -> 'a -> unit
     stamps it most-recently-used, and enforces the size budget. The
     value must be closure-free. *)
 
-val mem : t -> kind:string -> key:Pld_util.Digest_lite.t -> bool
-(** Header-only check, without deserializing the payload. Counts and
-    stamps like a {!find}. *)
-
 val entries : t -> (string * string) list
 (** [(kind, key)] of every well-named entry currently on disk. *)
 
 val count : t -> int
-(** Number of valid entries currently on disk. *)
+(** Number of entry files with well-formed names currently on disk —
+    their contents are not checked. *)
 
 val clear : t -> unit
 (** Removes every entry (but keeps the directory and bookkeeping
@@ -115,7 +119,8 @@ type scrub_report = {
 }
 
 val scrub : t -> scrub_report
-(** Re-reads and re-digests every entry file under the store lock.
+(** The full audit: the same directory walk as {!open_}, but every
+    entry's payload is re-read and re-digested, under the store lock.
     Entries failing validation (and malformed [.art] names) move to
     [store.quarantine/] — regardless of the handle's [quarantine] open
     mode — and orphaned [*.tmp] files are deleted. Each quarantined
@@ -132,8 +137,8 @@ type kind_stats = {
   ks_kind : string;
   ks_entries : int;  (** entries of this kind on disk *)
   ks_bytes : int;  (** file bytes of this kind on disk *)
-  ks_hits : int;  (** [find]/[mem] served from a valid entry *)
-  ks_misses : int;  (** [find]/[mem] that found nothing usable *)
+  ks_hits : int;  (** [find] served from a valid entry *)
+  ks_misses : int;  (** [find] that found nothing usable *)
   ks_puts : int;  (** artifacts written *)
   ks_evictions : int;
       (** entries this handle deleted — LRU budget victims plus

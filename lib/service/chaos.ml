@@ -164,9 +164,11 @@ let scenario_crash_writer ~seed ~root _log =
 
 (* Write six entries, damage a seeded three of them three different
    ways (truncation, payload bit-flip, header garble), and require the
-   scrub to quarantine exactly those three — survivors still read,
-   victims read as clean misses, and the torn bytes are preserved in
-   store.quarantine/ for post-mortem. *)
+   reopen and the scrub together to quarantine exactly those three —
+   open's header check takes the truncation and the garble, the scrub's
+   payload digest the bit-flip. Survivors still read, victims read as
+   clean misses, and the torn bytes are preserved in store.quarantine/
+   for post-mortem. *)
 let scenario_corrupt_store ~seed ~root _log =
   let t0 = Unix.gettimeofday () in
   let lg = { checks = [] } in
@@ -211,10 +213,9 @@ let scenario_corrupt_store ~seed ~root _log =
   List.iteri damage victims;
   let tele = T.create () in
   let st = Store.open_ ~quarantine:true ~telemetry:tele ~dir () in
-  let rep = Store.scrub st in
-  ignore rep;
+  ignore (Store.scrub st);
   let quarantined = T.counter_value tele "store.quarantined" in
-  push lg "scrub quarantined exactly the damaged entries" (quarantined = 3)
+  push lg "open + scrub quarantined exactly the damaged entries" (quarantined = 3)
     (Printf.sprintf "%d quarantined (expected 3)" quarantined);
   let survivors = List.filter (fun i -> not (List.mem i victims)) [ 0; 1; 2; 3; 4; 5 ] in
   pushb lg "undamaged entries still read valid"

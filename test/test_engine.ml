@@ -46,7 +46,6 @@ let test_store_roundtrip () =
   let t = Store.open_ ~dir () in
   let key = Digest.of_string "op source" in
   Store.put t ~kind:"page" ~key [ 1; 2; 3 ];
-  check_bool "mem" true (Store.mem t ~kind:"page" ~key);
   Alcotest.(check (option (list int))) "find" (Some [ 1; 2; 3 ]) (Store.find t ~kind:"page" ~key);
   check_int "one entry" 1 (Store.count t);
   (* A fresh handle on the same directory sees the entry: persistence. *)
@@ -169,6 +168,10 @@ let test_store_tmp_swept_on_open () =
 
 let k i = Digest.of_string (Printf.sprintf "key%d" i)
 
+(* A [find] that only asks whether a valid page entry is there; like any
+   hit it refreshes the entry's LRU stamp. *)
+let present t key = (Store.find t ~kind:"page" ~key : string option) <> None
+
 (* Entry file size for a given payload, measured rather than hard-coded
    so the budget arithmetic tracks the header format. *)
 let entry_bytes payload =
@@ -190,9 +193,9 @@ let test_store_lru_eviction () =
   (* ...and the third write evicts k2, not k1. *)
   Store.put t ~kind:"page" ~key:(k 3) payload;
   check_int "budget enforced" 2 (Store.count t);
-  check_bool "least-recently-used evicted" false (Store.mem t ~kind:"page" ~key:(k 2));
-  check_bool "refreshed entry survives" true (Store.mem t ~kind:"page" ~key:(k 1));
-  check_bool "fresh write survives" true (Store.mem t ~kind:"page" ~key:(k 3))
+  check_bool "least-recently-used evicted" false (present t (k 2));
+  check_bool "refreshed entry survives" true (present t (k 1));
+  check_bool "fresh write survives" true (present t (k 3))
 
 let test_store_oversized_entry_kept () =
   let payload = String.make 400 'q' in
@@ -204,8 +207,8 @@ let test_store_oversized_entry_kept () =
   check_int "oversized entry parked" 1 (Store.count t);
   Store.put t ~kind:"page" ~key:(k 2) payload;
   check_int "next write claims the slot" 1 (Store.count t);
-  check_bool "previous entry evicted" false (Store.mem t ~kind:"page" ~key:(k 1));
-  check_bool "new entry present" true (Store.mem t ~kind:"page" ~key:(k 2))
+  check_bool "previous entry evicted" false (present t (k 1));
+  check_bool "new entry present" true (present t (k 2))
 
 let test_store_lru_survives_reopen () =
   let payload = String.make 200 'r' in
@@ -215,13 +218,13 @@ let test_store_lru_survives_reopen () =
   Store.put t ~kind:"page" ~key:(k 1) payload;
   Store.put t ~kind:"page" ~key:(k 2) payload;
   (* Make k1 the most recently used; the stamp lands in store.index. *)
-  check_bool "refresh hit" true (Store.mem t ~kind:"page" ~key:(k 1));
+  check_bool "refresh hit" true (present t (k 1));
   (* A fresh handle with a one-entry budget must evict by the persisted
      order: k2 goes, the refreshed k1 stays. *)
   let t2 = Store.open_ ~dir ~max_bytes:(e + (e / 2)) () in
   check_int "one survivor" 1 (Store.count t2);
-  check_bool "most-recently-used survives reopen" true (Store.mem t2 ~kind:"page" ~key:(k 1));
-  check_bool "LRU victim evicted on open" false (Store.mem t2 ~kind:"page" ~key:(k 2))
+  check_bool "most-recently-used survives reopen" true (present t2 (k 1));
+  check_bool "LRU victim evicted on open" false (present t2 (k 2))
 
 let test_store_stats_and_telemetry () =
   let module T = Pld_telemetry.Telemetry in
@@ -381,9 +384,9 @@ let test_store_scrub_quarantines_exact_damage () =
   let module T = Pld_telemetry.Telemetry in
   let tele = T.create () in
   let dir = fresh_deep_dir "scrubunit" in
-  (* Damage behind the live handle's back — a reopen would already
-     sweep the invalid entries, and the point here is that scrub finds
-     them on demand. *)
+  (* Damage behind the live handle's back: the point here is that
+     scrub finds it on demand. A reopen would sweep only the truncation
+     (open checks headers); the bit-flip waits for a find or a scrub. *)
   let t = Store.open_ ~dir ~quarantine:true ~telemetry:tele () in
   let key i = Digest.of_string (Printf.sprintf "scrub%d" i) in
   for i = 0 to 3 do
@@ -405,6 +408,44 @@ let test_store_scrub_quarantines_exact_damage () =
   (* A second scrub finds nothing left to do. *)
   let r2 = Store.scrub t in
   check_int "scrub is idempotent" 0 r2.Store.sc_quarantined
+
+(* Rewrite the header to claim the next format version; the file size
+   is unchanged, so only the version check can reject it. *)
+let damage_future_version path =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let prefix = Printf.sprintf "PLD-ARTIFACT v%d" Store.version in
+  let rest = String.sub data (String.length prefix) (String.length data - String.length prefix) in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Printf.sprintf "PLD-ARTIFACT v%d%s" (Store.version + 1) rest))
+
+let test_store_open_checks_headers_find_checks_payloads () =
+  (* Each check on a stored byte happens in one place: open reads
+     headers only, find digests the payload it deserializes, scrub
+     audits everything. *)
+  let dir = fresh_deep_dir "layers" in
+  let key i = Digest.of_string (Printf.sprintf "layer%d" i) in
+  let file i = entry_file dir ~kind:"page" ~key:(key i) in
+  let t = Store.open_ ~dir () in
+  for i = 0 to 3 do
+    Store.put t ~kind:"page" ~key:(key i) (Printf.sprintf "payload %d" i)
+  done;
+  damage_flip_last_byte (file 0);
+  damage_flip_last_byte (file 1);
+  damage_truncate (file 2);
+  damage_future_version (file 3);
+  let t2 = Store.open_ ~dir () in
+  check_bool "truncated entry swept at open" false (Sys.file_exists (file 2));
+  check_bool "future-version entry swept at open" false (Sys.file_exists (file 3));
+  check_bool "payload bit-flip survives open" true (Sys.file_exists (file 0));
+  check_int "bit-flipped entries still counted" 2 (Store.count t2);
+  Alcotest.(check (option string)) "find digests the payload" None
+    (Store.find t2 ~kind:"page" ~key:(key 0));
+  check_bool "find evicted it" false (Sys.file_exists (file 0));
+  let r = Store.scrub t2 in
+  check_int "scrub quarantines the second bit-flip" 1 r.Store.sc_quarantined;
+  check_bool "its bytes are kept" true
+    (Sys.file_exists (Filename.concat r.Store.sc_quarantine_dir (Filename.basename (file 1))));
+  check_int "nothing left" 0 (Store.count t2)
 
 let test_store_quarantine_mode_preserves_evidence () =
   (* In quarantine mode a corrupt entry found by [find] is moved aside
@@ -755,6 +796,8 @@ let suite =
     ("store: SIGKILL mid-insert leaves no torn entry", `Slow, test_store_killed_mid_insert);
     ("store: scrub quarantines exactly the damage", `Quick, test_store_scrub_quarantines_exact_damage);
     ("store: quarantine mode preserves evidence", `Quick, test_store_quarantine_mode_preserves_evidence);
+    ("store: open checks headers, find checks payloads", `Quick,
+     test_store_open_checks_headers_find_checks_payloads);
     ("jobgraph: topological order", `Quick, test_jobgraph_order);
     ("jobgraph: duplicate id rejected", `Quick, test_jobgraph_duplicate_id);
     ("jobgraph: unknown dep rejected", `Quick, test_jobgraph_unknown_dep);
