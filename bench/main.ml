@@ -572,7 +572,7 @@ let softcore_sweep () =
             cores := (inst, cpu) :: !cores;
             Pld_kpn.Network.add_process net ~name:inst (fun () ->
                 let rec go () =
-                  match Pld_riscv.Cpu.run ~max_cycles:(cpu.Pld_riscv.Cpu.cycles + 50_000) cpu with
+                  match Pld_riscv.Cpu.run ~max_cycles:(Pld_riscv.Cpu.cycles cpu + 50_000) cpu with
                   | Pld_riscv.Cpu.Halted -> ()
                   | Pld_riscv.Cpu.Stalled -> Pld_kpn.Network.yield (); go ()
                   | Pld_riscv.Cpu.Running -> Pld_kpn.Network.note_progress net; Pld_kpn.Network.yield (); go ()
@@ -583,7 +583,7 @@ let softcore_sweep () =
       app.B.operators;
     Pld_kpn.Network.run net;
     let outputs = List.map (fun name -> (name, Pld_kpn.Network.drain (chan name))) g.Pld_ir.Graph.outputs in
-    let worst = List.fold_left (fun acc (_, cpu) -> max acc cpu.Pld_riscv.Cpu.cycles) 0 !cores in
+    let worst = List.fold_left (fun acc (_, cpu) -> max acc (Pld_riscv.Cpu.cycles cpu)) 0 !cores in
     (worst, b.Suite.check ~inputs outputs)
   in
   List.iter

@@ -76,12 +76,12 @@ let () =
   | Riscv.Cpu.Halted -> ()
   | _ -> failwith "softcore did not halt");
   let soft_out = List.map (fun v -> Int32.to_int v land 0xFFFFFFFF) (List.of_seq (Queue.to_seq outs)) in
-  Printf.printf "\nsoftcore: %d instructions retired, %d cycles, %d printf lines\n" cpu.Riscv.Cpu.retired
-    cpu.Riscv.Cpu.cycles !printed;
+  Printf.printf "\nsoftcore: %d instructions retired, %d cycles, %d printf lines\n" (Riscv.Cpu.retired cpu)
+    (Riscv.Cpu.cycles cpu) !printed;
   Printf.printf "bit-exact with the hardware semantics: %b\n"
     (List.map (fun x -> x land 0xFFFFFFFF) interp_out = soft_out);
   let fpga_cycles = impl.Pld_hls.Hls_compile.perf.Pld_hls.Sched.cycles_per_firing in
   Printf.printf "FPGA page: %d cycles per frame @200MHz; softcore: %d cycles -> %.0fx slower (\"%s\")\n"
-    fpga_cycles cpu.Riscv.Cpu.cycles
-    (float_of_int cpu.Riscv.Cpu.cycles /. float_of_int fpga_cycles)
+    fpga_cycles (Riscv.Cpu.cycles cpu)
+    (float_of_int (Riscv.Cpu.cycles cpu) /. float_of_int fpga_cycles)
     "the price of the -O0 instant compile"

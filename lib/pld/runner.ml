@@ -167,16 +167,16 @@ let run_cosim ?fuel ?faults ?pmu (app : Build.app) ~inputs =
                    state; a hang spins without touching its streams
                    until the watchdog calls it out. *)
                 (match trap_at with
-                | Some n when cpu.Pld_riscv.Cpu.cycles >= n ->
+                | Some n when Pld_riscv.Cpu.cycles cpu >= n ->
                     Pld_riscv.Cpu.inject_trap cpu "injected fault: softcore trap"
                 | _ -> ());
                 match hang_at with
-                | Some n when cpu.Pld_riscv.Cpu.cycles >= n ->
+                | Some n when Pld_riscv.Cpu.cycles cpu >= n ->
                     Net.yield ();
                     go ()
                 | _ -> (
                     let status =
-                      Pld_riscv.Cpu.run ~max_cycles:(cpu.Pld_riscv.Cpu.cycles + quantum) cpu
+                      Pld_riscv.Cpu.run ~max_cycles:(Pld_riscv.Cpu.cycles cpu + quantum) cpu
                     in
                     pmu_tick ();
                     match status with
@@ -226,7 +226,7 @@ let run_cosim ?fuel ?faults ?pmu (app : Build.app) ~inputs =
         ~reason:(Printf.sprintf "out of fuel after %d scheduler steps (hung operator?)" steps)
         ~blocked:live);
   let outputs = List.map (fun name -> (name, Net.drain (chan name))) g.outputs in
-  let softcore_cycles = List.map (fun (n, cpu) -> (n, cpu.Pld_riscv.Cpu.cycles)) !cores in
+  let softcore_cycles = List.map (fun (n, cpu) -> (n, Pld_riscv.Cpu.cycles cpu)) !cores in
   List.iter
     (fun (inst, cycles) ->
       Telemetry.max_gauge

@@ -28,9 +28,29 @@ let describe_trap tr =
   Printf.sprintf "%s (pc=0x%x instr=0x%08lx cycle=%d)" tr.trap_msg tr.trap_pc tr.trap_instr
     tr.trap_cycle
 
+(* One constructor per RV32IM instruction, so the run loop dispatches
+   on a single tag. *)
+type op =
+  | Lui | Auipc | Jal | Jalr
+  | Beq | Bne | Blt | Bge | Bltu | Bgeu
+  | Lb | Lh | Lw | Lbu | Lhu | Sb | Sh | Sw
+  | Addi | Slti | Sltiu | Xori | Ori | Andi | Slli | Srli | Srai
+  | Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And
+  | Mul | Mulh | Mulhsu | Mulhu | Div | Divu | Rem | Remu
+  | Ecall | Ebreak
+
+(* A predecoded slot packs [tag] (bits 0-5, the 1-based index of its op
+   in [ops]; 0 marks an empty slot), rd (6-10), rs1 (11-15), rs2
+   (16-20) and the sign-extended immediate (21 and up). *)
+let ops =
+  [| Lui; Auipc; Jal; Jalr; Beq; Bne; Blt; Bge; Bltu; Bgeu; Lb; Lh; Lw; Lbu; Lhu; Sb; Sh; Sw;
+     Addi; Slti; Sltiu; Xori; Ori; Andi; Slli; Srli; Srai; Add; Sub; Sll; Slt; Sltu; Xor; Srl;
+     Sra; Or; And; Mul; Mulh; Mulhsu; Mulhu; Div; Divu; Rem; Remu; Ecall; Ebreak |]
+
 type t = {
   mem : Bytes.t;
-  regs : int32 array;
+  regs : int array;  (** sign-extended 32-bit values; [regs.(0)] stays 0 *)
+  mutable code : int array;  (** predecoded slot of word [pc / 4]; grows on demand *)
   mutable pc : int;
   mutable cycles : int;
   mutable retired : int;
@@ -49,7 +69,8 @@ let create ?(mem_kb = 192) ?(profile = picorv32) ?(stream_read = fun _ -> None)
     ?(stream_write = fun _ _ -> true) ?(on_ecall = fun _ -> 10) () =
   {
     mem = Bytes.make (mem_kb * 1024) '\000';
-    regs = Array.make 32 0l;
+    regs = Array.make 32 0;
+    code = [||];
     pc = 0;
     cycles = 0;
     retired = 0;
@@ -60,10 +81,25 @@ let create ?(mem_kb = 192) ?(profile = picorv32) ?(stream_read = fun _ -> None)
     profile;
   }
 
-let read_reg t r = if r = 0 then 0l else t.regs.(r)
-let write_reg t r v = if r <> 0 then t.regs.(r) <- v
+let cycles t = t.cycles
+let retired t = t.retired
 
-let in_mem t addr = addr >= 0 && addr + 3 < Bytes.length t.mem
+(* Sign-extend the low 32 bits. *)
+let[@inline] sx v = (v lsl 31) asr 31
+let[@inline] u32 v = v land 0xFFFF_FFFF
+let[@inline] set (regs : int array) rd v = if rd <> 0 then Array.unsafe_set regs rd v
+
+let read_reg t r = Int32.of_int t.regs.(r)
+
+let[@inline] in_mem t addr = addr >= 0 && addr + 3 < Bytes.length t.mem
+
+(* Clear the predecoded slots of the words that bytes [addr, addr+n)
+   touch, so rewritten text is decoded afresh. *)
+let[@inline] invalidate t addr n =
+  let code = t.code in
+  for i = addr lsr 2 to min ((addr + n - 1) lsr 2) (Array.length code - 1) do
+    Array.unsafe_set code i 0
+  done
 
 (* Capture the faulting machine state: current pc, the instruction word
    there (0 if the pc itself is unmapped), and the cycle count. *)
@@ -80,215 +116,241 @@ let read_word t addr =
 
 let write_word t addr v =
   if not (in_mem t addr) then invalid_arg (Printf.sprintf "Cpu.write_word: 0x%x out of memory" addr);
-  Bytes.set_int32_le t.mem addr v
+  Bytes.set_int32_le t.mem addr v;
+  invalidate t addr 4
 
 let load_words t ~addr words = Array.iteri (fun i w -> write_word t (addr + (4 * i)) w) words
 
+let pack op ~rd ~rs1 ~rs2 imm =
+  let rec tag i = if ops.(i) = op then i + 1 else tag (i + 1) in
+  tag 0 lor (rd lsl 6) lor (rs1 lsl 11) lor (rs2 lsl 16) lor (imm lsl 21)
 
-let to_u32 v = Int32.logand v (-1l)
-let u_lt a b = Int32.unsigned_compare a b < 0
+let predecode (instr : Isa.instr) =
+  match instr with
+  | Isa.Lui (rd, imm) -> pack Lui ~rd ~rs1:0 ~rs2:0 (sx (imm lsl 12))
+  | Isa.Auipc (rd, imm) -> pack Auipc ~rd ~rs1:0 ~rs2:0 (sx (imm lsl 12))
+  | Isa.Jal (rd, imm) -> pack Jal ~rd ~rs1:0 ~rs2:0 imm
+  | Isa.Jalr (rd, rs1, imm) -> pack Jalr ~rd ~rs1 ~rs2:0 imm
+  | Isa.Branch (c, rs1, rs2, imm) ->
+      let op = match c with Isa.Beq -> Beq | Bne -> Bne | Blt -> Blt | Bge -> Bge | Bltu -> Bltu | Bgeu -> Bgeu in
+      pack op ~rd:0 ~rs1 ~rs2 imm
+  | Isa.Load (w, unsigned, rd, rs1, imm) ->
+      let op = match (w, unsigned) with B, false -> Lb | H, false -> Lh | W, _ -> Lw | B, true -> Lbu | H, true -> Lhu in
+      pack op ~rd ~rs1 ~rs2:0 imm
+  | Isa.Store (w, rs2, rs1, imm) ->
+      pack (match w with B -> Sb | H -> Sh | W -> Sw) ~rd:0 ~rs1 ~rs2 imm
+  | Isa.Alui (a, rd, rs1, imm) ->
+      let op =
+        match a with
+        | Isa.Addi -> Addi | Slti -> Slti | Sltiu -> Sltiu | Xori -> Xori | Ori -> Ori | Andi -> Andi
+        | Slli -> Slli | Srli -> Srli | Srai -> Srai
+      in
+      pack op ~rd ~rs1 ~rs2:0 imm
+  | Isa.Alur (o, rd, rs1, rs2) ->
+      let op =
+        match o with
+        | Isa.Radd -> Add | Rsub -> Sub | Rsll -> Sll | Rslt -> Slt | Rsltu -> Sltu | Rxor -> Xor
+        | Rsrl -> Srl | Rsra -> Sra | Ror -> Or | Rand -> And | Rmul -> Mul | Rmulh -> Mulh
+        | Rmulhsu -> Mulhsu | Rmulhu -> Mulhu | Rdiv -> Div | Rdivu -> Divu | Rrem -> Rem | Rremu -> Remu
+      in
+      pack op ~rd ~rs1 ~rs2 0
+  | Isa.Ecall -> pack Ecall ~rd:0 ~rs1:0 ~rs2:0 0
+  | Isa.Ebreak -> pack Ebreak ~rd:0 ~rs1:0 ~rs2:0 0
 
-let mmio_port base addr = if addr >= base && addr < base + 0x100 && addr land 7 = 0 then Some ((addr - base) / 8) else None
+(* Complete the instruction at [t.pc]. *)
+let[@inline] retire t ~next charge =
+  t.cycles <- t.cycles + charge;
+  t.retired <- t.retired + 1;
+  t.pc <- next
 
-let step t =
-  match t.status with
-  | Halted | Trapped _ -> t.status
-  | Running | Stalled -> begin
-      t.status <- Running;
-      if t.pc < 0 || t.pc + 3 >= Bytes.length t.mem then begin
-        t.status <- Trapped (trap_state t (Printf.sprintf "pc 0x%x out of memory" t.pc));
-        t.status
-      end
-      else begin
-        let word = Bytes.get_int32_le t.mem t.pc in
-        match Isa.decode word with
-        | None ->
-            t.status <- Trapped (trap_state t (Printf.sprintf "illegal instruction 0x%08lx" word));
-            t.status
-        | Some instr -> begin
-            let rd_ v = read_reg t v in
-            let next = ref (t.pc + 4) in
-            let p = t.profile in
-            let charge = ref p.c_alu in
-            let retire = ref true in
-            (try
-               (match instr with
-               | Isa.Lui (rd, imm) -> write_reg t rd (Int32.shift_left (Int32.of_int imm) 12)
-               | Isa.Auipc (rd, imm) ->
-                   write_reg t rd (Int32.add (Int32.of_int t.pc) (Int32.shift_left (Int32.of_int imm) 12))
-               | Isa.Jal (rd, imm) ->
-                   write_reg t rd (Int32.of_int (t.pc + 4));
-                   next := t.pc + imm;
-                   charge := p.c_jump
-               | Isa.Jalr (rd, rs1, imm) ->
-                   let target = Int32.to_int (Int32.add (rd_ rs1) (Int32.of_int imm)) land lnot 1 in
-                   write_reg t rd (Int32.of_int (t.pc + 4));
-                   next := target;
-                   charge := p.c_jump
-               | Isa.Branch (c, rs1, rs2, imm) ->
-                   let a = rd_ rs1 and b = rd_ rs2 in
-                   let taken =
-                     match c with
-                     | Isa.Beq -> Int32.equal a b
-                     | Isa.Bne -> not (Int32.equal a b)
-                     | Isa.Blt -> Int32.compare a b < 0
-                     | Isa.Bge -> Int32.compare a b >= 0
-                     | Isa.Bltu -> u_lt a b
-                     | Isa.Bgeu -> not (u_lt a b)
-                   in
-                   if taken then begin
-                     next := t.pc + imm;
-                     charge := p.c_taken
-                   end
-                   else charge := p.c_not_taken
-               | Isa.Load (w, unsigned, rd, rs1, imm) -> begin
-                   let addr = Int32.to_int (Int32.add (rd_ rs1) (Int32.of_int imm)) in
-                   charge := p.c_mem;
-                   match mmio_port mmio_in_base addr with
-                   | Some port -> begin
-                       match t.stream_read port with
-                       | Some v -> write_reg t rd v
-                       | None ->
-                           (* Blocked: stall, retry this instruction. *)
-                           t.status <- Stalled;
-                           next := t.pc;
-                           retire := false;
-                           charge := 1
-                     end
-                   | None ->
-                       if not (in_mem t addr) then failwith (Printf.sprintf "load at 0x%x" addr)
-                       else begin
-                         let v =
-                           match w with
-                           | Isa.W -> Bytes.get_int32_le t.mem addr
-                           | Isa.H ->
-                               let raw = Char.code (Bytes.get t.mem addr) lor (Char.code (Bytes.get t.mem (addr + 1)) lsl 8) in
-                               if unsigned then Int32.of_int raw
-                               else Int32.of_int (if raw >= 0x8000 then raw - 0x10000 else raw)
-                           | Isa.B ->
-                               let raw = Char.code (Bytes.get t.mem addr) in
-                               if unsigned then Int32.of_int raw
-                               else Int32.of_int (if raw >= 0x80 then raw - 0x100 else raw)
-                         in
-                         write_reg t rd v
-                       end
-                 end
-               | Isa.Store (w, rs2, rs1, imm) -> begin
-                   let addr = Int32.to_int (Int32.add (rd_ rs1) (Int32.of_int imm)) in
-                   let v = rd_ rs2 in
-                   charge := p.c_mem;
-                   if addr = mmio_halt then t.status <- Halted
-                   else
-                     match mmio_port mmio_out_base addr with
-                     | Some port ->
-                         if not (t.stream_write port v) then begin
-                           t.status <- Stalled;
-                           next := t.pc;
-                           retire := false;
-                           charge := 1
-                         end
-                     | None ->
-                         if not (in_mem t addr) then failwith (Printf.sprintf "store at 0x%x" addr)
-                         else begin
-                           match w with
-                           | Isa.W -> Bytes.set_int32_le t.mem addr v
-                           | Isa.H ->
-                               Bytes.set t.mem addr (Char.chr (Int32.to_int (Int32.logand v 0xFFl)));
-                               Bytes.set t.mem (addr + 1)
-                                 (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 8) 0xFFl)))
-                           | Isa.B -> Bytes.set t.mem addr (Char.chr (Int32.to_int (Int32.logand v 0xFFl)))
-                         end
-                 end
-               | Isa.Alui (a, rd, rs1, imm) ->
-                   let x = rd_ rs1 and i32 = Int32.of_int imm in
-                   let v =
-                     match a with
-                     | Isa.Addi -> Int32.add x i32
-                     | Isa.Slti -> if Int32.compare x i32 < 0 then 1l else 0l
-                     | Isa.Sltiu -> if u_lt x i32 then 1l else 0l
-                     | Isa.Xori -> Int32.logxor x i32
-                     | Isa.Ori -> Int32.logor x i32
-                     | Isa.Andi -> Int32.logand x i32
-                     | Isa.Slli -> Int32.shift_left x (imm land 31)
-                     | Isa.Srli -> Int32.shift_right_logical x (imm land 31)
-                     | Isa.Srai -> Int32.shift_right x (imm land 31)
-                   in
-                   write_reg t rd v
-               | Isa.Alur (o, rd, rs1, rs2) ->
-                   let x = rd_ rs1 and y = rd_ rs2 in
-                   let sh = Int32.to_int (Int32.logand y 31l) in
-                   let wide f =
-                     let xi = Int64.of_int32 x and yi = Int64.of_int32 y in
-                     f xi yi
-                   in
-                   let v =
-                     match o with
-                     | Isa.Radd -> Int32.add x y
-                     | Isa.Rsub -> Int32.sub x y
-                     | Isa.Rsll -> Int32.shift_left x sh
-                     | Isa.Rslt -> if Int32.compare x y < 0 then 1l else 0l
-                     | Isa.Rsltu -> if u_lt x y then 1l else 0l
-                     | Isa.Rxor -> Int32.logxor x y
-                     | Isa.Rsrl -> Int32.shift_right_logical x sh
-                     | Isa.Rsra -> Int32.shift_right x sh
-                     | Isa.Ror -> Int32.logor x y
-                     | Isa.Rand -> Int32.logand x y
-                     | Isa.Rmul ->
-                         charge := p.c_mul;
-                         Int32.mul x y
-                     | Isa.Rmulh ->
-                         charge := p.c_mul;
-                         wide (fun a b -> Int64.to_int32 (Int64.shift_right (Int64.mul a b) 32))
-                     | Isa.Rmulhsu ->
-                         charge := p.c_mul;
-                         let yu = Int64.logand (Int64.of_int32 y) 0xFFFFFFFFL in
-                         Int64.to_int32 (Int64.shift_right (Int64.mul (Int64.of_int32 x) yu) 32)
-                     | Isa.Rmulhu ->
-                         charge := p.c_mul;
-                         let xu = Int64.logand (Int64.of_int32 x) 0xFFFFFFFFL in
-                         let yu = Int64.logand (Int64.of_int32 y) 0xFFFFFFFFL in
-                         Int64.to_int32 (Int64.shift_right_logical (Int64.mul xu yu) 32)
-                     | Isa.Rdiv ->
-                         charge := p.c_div;
-                         if Int32.equal y 0l then -1l
-                         else if Int32.equal x Int32.min_int && Int32.equal y (-1l) then x
-                         else Int32.div x y
-                     | Isa.Rdivu ->
-                         charge := p.c_div;
-                         if Int32.equal y 0l then -1l else Int32.unsigned_div x y
-                     | Isa.Rrem ->
-                         charge := p.c_div;
-                         if Int32.equal y 0l then x
-                         else if Int32.equal x Int32.min_int && Int32.equal y (-1l) then 0l
-                         else Int32.rem x y
-                     | Isa.Rremu ->
-                         charge := p.c_div;
-                         if Int32.equal y 0l then x else Int32.unsigned_rem x y
-                   in
-                   write_reg t rd (to_u32 v)
-               | Isa.Ecall -> charge := max 1 (int_of_float (p.ecall_scale *. float_of_int (t.on_ecall t)))
-               | Isa.Ebreak -> t.status <- Halted);
-               t.cycles <- t.cycles + !charge;
-               if !retire then t.retired <- t.retired + 1;
-               t.pc <- !next
-             with Failure msg -> t.status <- Trapped (trap_state t msg));
-            t.status
-          end
-      end
+(* Blocked on a stream port: charge one cycle and retry the instruction. *)
+let stall t =
+  t.status <- Stalled;
+  t.cycles <- t.cycles + 1
+
+(* Grow the table by doubling until it covers slot [i]. *)
+let grow t i =
+  let n = Array.length t.code in
+  let code = Array.make (min (Bytes.length t.mem / 4) (max (i + 1) (2 * n))) 0 in
+  Array.blit t.code 0 code 0 n;
+  t.code <- code
+
+(* Decode the word at [pc] and, if [pc] is word-aligned, keep it in the
+   table. Returns 0 after trapping. *)
+let fetch t pc =
+  if not (in_mem t pc) then begin
+    inject_trap t (Printf.sprintf "pc 0x%x out of memory" pc);
+    0
+  end
+  else
+    let word = Bytes.get_int32_le t.mem pc in
+    match Isa.decode word with
+    | None ->
+        inject_trap t (Printf.sprintf "illegal instruction 0x%08lx" word);
+        0
+    | Some instr ->
+        let slot = predecode instr in
+        let i = pc lsr 2 in
+        if pc land 3 = 0 then begin
+          if i >= Array.length t.code then grow t i;
+          t.code.(i) <- slot
+        end;
+        slot
+
+let load t op ~rd addr =
+  if addr >= mmio_in_base && addr < mmio_in_base + 0x100 && addr land 7 = 0 then
+    match t.stream_read ((addr - mmio_in_base) / 8) with
+    | Some v ->
+        set t.regs rd (Int32.to_int v);
+        retire t ~next:(t.pc + 4) t.profile.c_mem
+    | None -> stall t
+    | exception Failure msg -> inject_trap t msg
+  else if not (in_mem t addr) then inject_trap t (Printf.sprintf "load at 0x%x" addr)
+  else begin
+    let m = t.mem in
+    set t.regs rd
+      (match op with
+      | Lb -> Bytes.get_int8 m addr
+      | Lbu -> Bytes.get_uint8 m addr
+      | Lh -> Bytes.get_int16_le m addr
+      | Lhu -> Bytes.get_uint16_le m addr
+      | _ -> Int32.to_int (Bytes.get_int32_le m addr));
+    retire t ~next:(t.pc + 4) t.profile.c_mem
+  end
+
+let store t op addr v =
+  if addr = mmio_halt then begin
+    t.status <- Halted;
+    retire t ~next:(t.pc + 4) t.profile.c_mem
+  end
+  else if addr >= mmio_out_base && addr < mmio_out_base + 0x100 && addr land 7 = 0 then
+    match t.stream_write ((addr - mmio_out_base) / 8) (Int32.of_int v) with
+    | true -> retire t ~next:(t.pc + 4) t.profile.c_mem
+    | false -> stall t
+    | exception Failure msg -> inject_trap t msg
+  else if not (in_mem t addr) then inject_trap t (Printf.sprintf "store at 0x%x" addr)
+  else begin
+    let m = t.mem in
+    let width =
+      match op with
+      | Sb ->
+          Bytes.set_uint8 m addr (v land 0xFF);
+          1
+      | Sh ->
+          Bytes.set_uint16_le m addr (v land 0xFFFF);
+          2
+      | _ ->
+          Bytes.set_int32_le m addr (Int32.of_int v);
+          4
+    in
+    invalidate t addr width;
+    retire t ~next:(t.pc + 4) t.profile.c_mem
+  end
+
+let ecall t =
+  match t.on_ecall t with
+  | cost -> retire t ~next:(t.pc + 4) (max 1 (int_of_float (t.profile.ecall_scale *. float_of_int cost)))
+  | exception (Failure msg | Invalid_argument msg) -> inject_trap t msg
+
+let[@inline] running t = match t.status with Running -> true | Stalled | Halted | Trapped _ -> false
+
+(* The interpreter: one instruction per iteration until a stall, trap
+   or halt changes [t.status], or the cycle budget runs out. *)
+let exec t ~max_cycles =
+  let regs = t.regs and p = t.profile in
+  while running t && t.cycles < max_cycles do
+    let pc = t.pc in
+    let code = t.code in
+    let i = pc lsr 2 in
+    let slot =
+      if pc land 3 = 0 && i < Array.length code && Array.unsafe_get code i <> 0 then Array.unsafe_get code i
+      else fetch t pc
+    in
+    if slot <> 0 then begin
+      let rd = (slot lsr 6) land 31 and imm = slot asr 21 in
+      let x = Array.unsafe_get regs ((slot lsr 11) land 31) in
+      let y = Array.unsafe_get regs ((slot lsr 16) land 31) in
+      let next = pc + 4 in
+      let alu v =
+        set regs rd v;
+        retire t ~next p.c_alu
+      and branch taken = if taken then retire t ~next:(pc + imm) p.c_taken else retire t ~next p.c_not_taken
+      and mul v =
+        set regs rd v;
+        retire t ~next p.c_mul
+      and div v =
+        set regs rd v;
+        retire t ~next p.c_div
+      in
+      match Array.unsafe_get ops ((slot land 63) - 1) with
+      | Lui -> alu imm
+      | Auipc -> alu (sx (pc + imm))
+      | Jal ->
+          set regs rd next;
+          retire t ~next:(pc + imm) p.c_jump
+      | Jalr ->
+          let target = sx (x + imm) land lnot 1 in
+          set regs rd next;
+          retire t ~next:target p.c_jump
+      | Beq -> branch (x = y)
+      | Bne -> branch (x <> y)
+      | Blt -> branch (x < y)
+      | Bge -> branch (x >= y)
+      | Bltu -> branch (u32 x < u32 y)
+      | Bgeu -> branch (u32 x >= u32 y)
+      | (Lb | Lh | Lw | Lbu | Lhu) as op -> load t op ~rd (sx (x + imm))
+      | (Sb | Sh | Sw) as op -> store t op (sx (x + imm)) y
+      | Addi -> alu (sx (x + imm))
+      | Slti -> alu (if x < imm then 1 else 0)
+      | Sltiu -> alu (if u32 x < u32 imm then 1 else 0)
+      | Xori -> alu (x lxor imm)
+      | Ori -> alu (x lor imm)
+      | Andi -> alu (x land imm)
+      | Slli -> alu (sx (x lsl imm))
+      | Srli -> alu (sx (u32 x lsr imm))
+      | Srai -> alu (x asr imm)
+      | Add -> alu (sx (x + y))
+      | Sub -> alu (sx (x - y))
+      | Sll -> alu (sx (x lsl (y land 31)))
+      | Slt -> alu (if x < y then 1 else 0)
+      | Sltu -> alu (if u32 x < u32 y then 1 else 0)
+      | Xor -> alu (x lxor y)
+      | Srl -> alu (sx (u32 x lsr (y land 31)))
+      | Sra -> alu (x asr (y land 31))
+      | Or -> alu (x lor y)
+      | And -> alu (x land y)
+      | Mul -> mul (sx (x * y))
+      (* The high products, quotients and remainders are computed in
+         Int64/Int32, where RISC-V's edge cases are exact: Int32 wraps
+         min_int / -1 to min_int with remainder 0, so only division by
+         zero needs a case of its own. *)
+      | Mulh -> mul (Int64.to_int (Int64.shift_right (Int64.mul (Int64.of_int x) (Int64.of_int y)) 32))
+      | Mulhsu ->
+          mul (Int64.to_int (Int64.shift_right (Int64.mul (Int64.of_int x) (Int64.of_int (u32 y))) 32))
+      | Mulhu ->
+          mul (sx (Int64.to_int (Int64.shift_right_logical (Int64.mul (Int64.of_int (u32 x)) (Int64.of_int (u32 y))) 32)))
+      | Div ->
+          div (if y = 0 then -1 else Int32.to_int (Int32.div (Int32.of_int x) (Int32.of_int y)))
+      | Divu -> div (if y = 0 then -1 else sx (Int64.to_int (Int64.div (Int64.of_int (u32 x)) (Int64.of_int (u32 y)))))
+      | Rem ->
+          div (if y = 0 then x else Int32.to_int (Int32.rem (Int32.of_int x) (Int32.of_int y)))
+      | Remu -> div (if y = 0 then x else sx (Int64.to_int (Int64.rem (Int64.of_int (u32 x)) (Int64.of_int (u32 y)))))
+      | Ecall -> ecall t
+      | Ebreak ->
+          t.status <- Halted;
+          retire t ~next p.c_alu
     end
+  done
 
 let run ?(max_cycles = max_int) t =
   let c0 = t.cycles in
-  let rec go () =
-    if t.cycles >= max_cycles then t.status
-    else
-      match step t with
-      | Running -> go ()
-      | (Stalled | Halted | Trapped _) as s -> s
-  in
-  let s = go () in
+  (match t.status with
+  | (Running | Stalled) when t.cycles < max_cycles ->
+      t.status <- Running;
+      exec t ~max_cycles
+  | Running | Stalled | Halted | Trapped _ -> ());
   Telemetry.incr ~by:(t.cycles - c0) (Telemetry.counter Telemetry.default "softcore.cycles");
-  s
+  t.status
 
 let pmu_tick t series ~last =
   if t.cycles > last then

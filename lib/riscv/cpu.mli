@@ -44,18 +44,11 @@ type status =
 val describe_trap : trap -> string
 (** ["<msg> (pc=0x.. instr=0x.. cycle=..)"]. *)
 
-type t = {
-  mem : Bytes.t;
-  regs : int32 array;
-  mutable pc : int;
-  mutable cycles : int;  (** model cycles at the 200 MHz overlay clock *)
-  mutable retired : int;  (** instructions completed *)
-  mutable status : status;
-  stream_read : int -> int32 option;
-  stream_write : int -> int32 -> bool;
-  on_ecall : t -> int;  (** performs the call, returns cycles to charge *)
-  profile : profile;
-}
+type t
+(** A core: unified memory, 32 registers, status, timing counters and
+    the table of predecoded instructions. Memory is written only
+    through {!write_word} and {!load_words}, which keep that table in
+    step with the text. *)
 
 val mmio_in_base : int
 val mmio_out_base : int
@@ -70,23 +63,32 @@ val create :
   unit ->
   t
 (** [mem_kb] defaults to 192 (the paper's maximum page memory);
-    [profile] to {!picorv32}. *)
+    [profile] to {!picorv32}. [on_ecall] performs an [ecall] and
+    returns the cycles to charge for it (scaled by the profile's
+    [ecall_scale]). *)
 
 val load_words : t -> addr:int -> int32 array -> unit
 val read_word : t -> int -> int32
 val write_word : t -> int -> int32 -> unit
 val read_reg : t -> int -> int32
 
+val cycles : t -> int
+(** Model cycles at the 200 MHz overlay clock. *)
+
+val retired : t -> int
+(** Instructions completed. *)
+
 val inject_trap : t -> string -> unit
 (** Force the core into [Trapped] with its current machine state —
     fault injection's hook. *)
 
-val step : t -> status
-(** Execute (or retry) one instruction. *)
-
 val run : ?max_cycles:int -> t -> status
-(** Step until halt, trap, or stall. Returns the final status
-    ([Running] only if [max_cycles] expired). *)
+(** Execute until halt, trap, or stall. Returns the final status
+    ([Running] only if [max_cycles] expired). A stall charges one
+    cycle; the next [run] retries the blocked instruction. [Failure]
+    from a stream callback, and [Failure] or [Invalid_argument] from
+    [on_ecall], become [Trapped] at the faulting instruction with no
+    cycles charged for it. *)
 
 val pmu_tick : t -> Pld_telemetry.Pmu.series -> last:int -> int
 (** Periodic PMU sampling hook for a driver that runs the core in
