@@ -538,53 +538,11 @@ let softcore_sweep () =
   let g = b.Suite.graph hw in
   let inputs = b.Suite.workload () in
   Printf.printf "%-12s %-14s %-12s %s\n" "profile" "worst cycles" "ms/frame" "check";
-  (* Whole-app co-simulation per profile via a local Network. *)
   let run_profile profile =
     let app = B.compile ~cache fp g ~level:B.O0 in
-    let net = Pld_kpn.Network.create () in
-    let channels = Hashtbl.create 16 in
-    List.iter
-      (fun (c : Pld_ir.Graph.channel) ->
-        let capacity = if List.mem c.Pld_ir.Graph.chan_name g.Pld_ir.Graph.outputs then max_int else c.Pld_ir.Graph.depth in
-        Hashtbl.replace channels c.Pld_ir.Graph.chan_name
-          (Pld_kpn.Network.channel net ~capacity ~name:c.Pld_ir.Graph.chan_name c.Pld_ir.Graph.elem))
-      g.Pld_ir.Graph.channels;
-    let chan name = Hashtbl.find channels name in
-    List.iter (fun (name, values) -> List.iter (Pld_kpn.Network.push (chan name)) values) inputs;
-    let cores = ref [] in
-    List.iter
-      (fun (inst, compiled) ->
-        match compiled with
-        | B.Soft_page (s : Pld_core.Flow.o0_operator) ->
-            let i = Pld_core.Flow.find_instance_exn ~context:"bench.softcore_sweep" g inst in
-            let in_chans = List.map (fun (p : Pld_ir.Op.port) -> chan (List.assoc p.Pld_ir.Op.port_name i.Pld_ir.Graph.bindings)) s.Pld_core.Flow.op0.Pld_ir.Op.inputs in
-            let out_chans = List.map (fun (p : Pld_ir.Op.port) -> chan (List.assoc p.Pld_ir.Op.port_name i.Pld_ir.Graph.bindings)) s.Pld_core.Flow.op0.Pld_ir.Op.outputs in
-            let cpu =
-              Pld_riscv.Softcore.boot ~profile s.Pld_core.Flow.program
-                ~stream_read:(fun port ->
-                  match Pld_kpn.Network.try_read (List.nth in_chans port) with
-                  | Some v -> Some (Int32.of_int (Pld_ir.Value.to_int (Pld_ir.Value.bitcast Pld_ir.Dtype.word v)))
-                  | None -> None)
-                ~stream_write:(fun port w ->
-                  Pld_kpn.Network.try_write (List.nth out_chans port)
-                    (Pld_ir.Value.of_int Pld_ir.Dtype.word (Int32.to_int w land 0xFFFFFFFF)))
-            in
-            cores := (inst, cpu) :: !cores;
-            Pld_kpn.Network.add_process net ~name:inst (fun () ->
-                let rec go () =
-                  match Pld_riscv.Cpu.run ~max_cycles:(Pld_riscv.Cpu.cycles cpu + 50_000) cpu with
-                  | Pld_riscv.Cpu.Halted -> ()
-                  | Pld_riscv.Cpu.Stalled -> Pld_kpn.Network.yield (); go ()
-                  | Pld_riscv.Cpu.Running -> Pld_kpn.Network.note_progress net; Pld_kpn.Network.yield (); go ()
-                  | Pld_riscv.Cpu.Trapped tr -> failwith (Pld_riscv.Cpu.describe_trap tr)
-                in
-                go ())
-        | B.Hw_page _ -> ())
-      app.B.operators;
-    Pld_kpn.Network.run net;
-    let outputs = List.map (fun name -> (name, Pld_kpn.Network.drain (chan name))) g.Pld_ir.Graph.outputs in
-    let worst = List.fold_left (fun acc (_, cpu) -> max acc (Pld_riscv.Cpu.cycles cpu)) 0 !cores in
-    (worst, b.Suite.check ~inputs outputs)
+    let r = R.run ~core_profile:profile app ~inputs in
+    let worst = List.fold_left (fun acc (_, c) -> max acc c) 0 r.R.softcore_cycles in
+    (worst, b.Suite.check ~inputs r.R.outputs)
   in
   List.iter
     (fun profile ->

@@ -7,6 +7,8 @@ type result = {
   printed : (string * string) list;
 }
 
+type io = { net : Network.t; port : string -> Network.channel; print : string -> unit }
+
 (* Registration order is the scheduler's round-robin order; [order]
    lets the differential tests prove the Kahn property (outputs do not
    depend on it). Unlisted instances keep their graph order, after the
@@ -21,7 +23,8 @@ let ordered_instances ?order (g : Graph.t) =
       let rest = List.filter (fun i -> not (List.mem i.Graph.inst_name names)) g.instances in
       listed @ rest
 
-let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = []) (g : Graph.t) ~inputs =
+let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = [])
+    ?(body = fun _ _ -> None) ?(watchdog = fun e _ -> e) (g : Graph.t) ~inputs =
   Validate.check_graph_exn g;
   let module Telemetry = Pld_telemetry.Telemetry in
   Telemetry.with_span Telemetry.default ~cat:"cosim"
@@ -44,8 +47,8 @@ let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = []) (g : 
       Hashtbl.replace channels c.chan_name (Network.channel net ~capacity ~name:c.chan_name c.elem))
     g.channels;
   let chan name = Hashtbl.find channels name in
-  (* Unprofiled runs preload the whole workload ([push] ignores
-     capacity — host DMA modeled as infinitely fast). A profiled run
+  (* An untimed run preloads the whole workload ([push] ignores
+     capacity — host DMA modeled as infinitely fast). A timed run
      instead streams each input through a host DMA process that
      respects the channel's declared hardware depth, so back-pressure
      against the host is observable in the stall counters — by the
@@ -55,9 +58,9 @@ let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = []) (g : 
       match Hashtbl.find_opt channels name with
       | None -> invalid_arg ("Run_graph.run: unknown input channel " ^ name)
       | Some c -> (
-          match pmu with
-          | None -> List.iter (Network.push c) values
-          | Some _ ->
+          match rates with
+          | [] -> List.iter (Network.push c) values
+          | _ :: _ ->
               Network.add_process net ~name:("host-dma-in:" ^ name) (fun () ->
                   List.iter (Network.write c) values)))
     inputs;
@@ -84,37 +87,42 @@ let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = []) (g : 
     List.map
       (fun (i : Graph.instance) ->
         let c = Interp.fresh_counters () in
-        let p = pace i.Graph.inst_name in
-        let io : Interp.io =
-          {
-            read =
-              (fun port ->
-                let v = Network.read (chan (List.assoc port i.bindings)) in
-                (* Pacing yields model compute time, not blocking — they
-                   count as progress so they can't trip the deadlock
-                   detector while every peer happens to be waiting. *)
-                for _ = 2 to p do
-                  Network.note_progress net;
-                  Network.yield ()
-                done;
-                v);
-            write = (fun port v -> Network.write (chan (List.assoc port i.bindings)) v);
-            printf =
-              (fun msg args ->
-                let text =
-                  msg ^ String.concat "" (List.map (fun v -> " " ^ Value.to_string v) args)
-                in
-                printed := (i.inst_name, text) :: !printed);
-          }
+        let port p = chan (List.assoc p i.bindings) in
+        let print text = printed := (i.inst_name, text) :: !printed in
+        let interpreted () =
+          let p = pace i.Graph.inst_name in
+          let io : Interp.io =
+            {
+              read =
+                (fun name ->
+                  let v = Network.read (port name) in
+                  (* Pacing yields model compute time, not blocking — they
+                     count as progress so they can't trip the deadlock
+                     detector while every peer happens to be waiting. *)
+                  for _ = 2 to p do
+                    Network.note_progress net;
+                    Network.yield ()
+                  done;
+                  v);
+              write = (fun name v -> Network.write (port name) v);
+              printf =
+                (fun msg args ->
+                  print (msg ^ String.concat "" (List.map (fun v -> " " ^ Value.to_string v) args)));
+            }
+          in
+          for _ = 1 to rounds do
+            Interp.run_operator ~processor ~counters:c i.op io
+          done
         in
-        Network.add_process net ~name:i.inst_name (fun () ->
-            for _ = 1 to rounds do
-              Interp.run_operator ~processor ~counters:c i.op io
-            done);
+        let process = Option.value (body i { net; port; print }) ~default:interpreted in
+        Network.add_process net ~name:i.inst_name process;
         (i.inst_name, c))
       (ordered_instances ?order g)
   in
-  Network.run ?fuel net;
+  (try Network.run ?fuel net with
+  | (Network.Deadlock _ | Network.Out_of_fuel _) as e ->
+      let in_flight (s : Network.channel_stats) = (s, Network.occupancy (chan s.chan)) in
+      raise (watchdog e (List.map in_flight (Network.stats net))));
   let outputs = List.map (fun name -> (name, Network.drain (chan name))) g.outputs in
   { outputs; channel_stats = Network.stats net; op_counters = counters; printed = List.rev !printed }
 

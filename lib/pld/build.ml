@@ -279,7 +279,8 @@ let stored cache artifacts =
   else 0
 
 (* PicoRV32 + memory: a fixed overlay footprint (before the shared
-   leaf interface is added). *)
+   leaf interface is added); one size fits all, as Sec 7.5 notes -O0
+   pages reserve worst-case memory. *)
 let softcore_demand = { Pld_netlist.Netlist.luts = 900; ffs = 1300; brams = 6; dsps = 1 }
 
 (* ---------- paged flows (-O0 / -O1) ---------- *)

@@ -68,8 +68,8 @@ val monolithic_exn : app -> Flow.o3_app
 
 val softcore_demand : Pld_netlist.Netlist.res
 (** Fixed page-area footprint of the PicoRV32 softcore overlay (before
-    the leaf interface) — used for page assignment and for sizing
-    spare pages during fault recovery. *)
+    the leaf interface) — used for page assignment, for the area
+    report and for sizing spare pages during fault recovery. *)
 
 (** {2 Cache}
 

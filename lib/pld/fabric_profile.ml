@@ -178,35 +178,18 @@ let to_json p =
       ("pmu", Pmu.to_json p.pf_pmu);
     ]
 
-let ( let* ) = Result.bind
-
-let str_field j name =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "profile: missing string field %S" name)
-
-let int_field j name =
-  match Json.member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "profile: missing integer field %S" name)
+open Json.Decode
 
 let opt_str_field j name =
   match Json.member name j with
   | Some (Json.String s) -> Ok (Some s)
   | Some Json.Null | None -> Ok None
-  | _ -> Error (Printf.sprintf "profile: field %S is not a string" name)
+  | _ -> Error (Printf.sprintf "field %S is not a string" name)
 
 let list_field j name =
   match Json.member name j with
   | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "profile: missing list field %S" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+  | _ -> Error (Printf.sprintf "missing list field %S" name)
 
 let op_of_json j =
   let* name = str_field j "name" in
@@ -215,7 +198,7 @@ let op_of_json j =
     match Json.member "page" j with
     | Some (Json.Int p) -> Ok (Some p)
     | Some Json.Null | None -> Ok None
-    | _ -> Error "profile: op page is not an integer"
+    | _ -> Error "op page is not an integer"
   in
   let* firings = int_field j "firings" in
   let* br = int_field j "blocked_read" in
@@ -253,7 +236,7 @@ let chan_of_json j =
 
 let link_of_json = function
   | Json.List [ Json.Int id; Json.Int flits ] -> Ok (id, flits)
-  | _ -> Error "profile: link entry is not [id, flits]"
+  | _ -> Error "link entry is not [id, flits]"
 
 let softcore_of_json j =
   let* n = str_field j "instance" in
@@ -261,6 +244,8 @@ let softcore_of_json j =
   Ok (n, c)
 
 let of_json j =
+  Result.map_error (fun e -> "profile: " ^ e)
+  @@
   let* graph = str_field j "graph" in
   let* level = str_field j "level" in
   let* frame_cycles = int_field j "frame_cycles" in
@@ -274,7 +259,7 @@ let of_json j =
   let* pmu =
     match Json.member "pmu" j with
     | Some pj -> Pmu.of_json pj
-    | None -> Error "profile: missing pmu document"
+    | None -> Error "missing pmu document"
   in
   Ok
     {

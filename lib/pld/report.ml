@@ -71,10 +71,6 @@ let trace_lines tele =
   | [] -> []
   | ms -> "-- modeled clock --" :: List.map modeled_line ms
 
-(* Softcore page area: the one-size-fits-all PicoRV32 + unified memory
-   configuration (Sec 7.5 notes -O0 pages reserve worst-case memory). *)
-let softcore_res = { N.luts = 900; ffs = 1300; brams = 6; dsps = 1 }
-
 let area_of (app : Build.app) =
   match app.Build.level with
   | Build.O3 | Build.Vitis ->
@@ -86,7 +82,7 @@ let area_of (app : Build.app) =
           (fun acc (_, c) ->
             match c with
             | Build.Hw_page h -> N.res_add acc (N.total_res h.Flow.pnr.Pld_pnr.Pnr.netlist)
-            | Build.Soft_page _ -> N.res_add acc softcore_res)
+            | Build.Soft_page _ -> N.res_add acc Build.softcore_demand)
           N.res_zero app.Build.operators
       in
       (res, List.length app.Build.operators)
@@ -125,7 +121,9 @@ let degraded_perf_lines ~nominal ~(actual : Runner.result) =
   let ratio = if n > 0.0 then a /. n else 1.0 in
   [
     Printf.sprintf "perf: %.3f ms/input vs %.3f ms/input nominal (%.2fx)" a n ratio;
-    Printf.sprintf "noc:  %d dropped, %d corrupted, %d retransmitted"
-      actual.Runner.perf.Runner.noc_dropped actual.Runner.perf.Runner.noc_corrupted
-      actual.Runner.perf.Runner.noc_retransmitted;
+    (match actual.Runner.noc with
+    | Some r ->
+        Printf.sprintf "noc:  %d dropped, %d corrupted, %d retransmitted" r.Pld_noc.Traffic.dropped
+          r.Pld_noc.Traffic.corrupted r.Pld_noc.Traffic.retransmitted
+    | None -> "noc:  0 dropped, 0 corrupted, 0 retransmitted");
   ]

@@ -1,22 +1,26 @@
 (** Execution engines and the performance models behind Tab. 3 and
     Figs. 10–11.
 
-    All flows share the same functional semantics (the KPN reference);
-    what differs is the timing model:
+    Every level runs one KPN network ({!Pld_kpn.Run_graph.run}):
+    softcore pages join it as processes that execute their real RV32
+    binaries cycle by cycle, every other instance runs the reference
+    interpreter. What differs is the timing model, and one formula
+    covers it: the frame is the slowest of the hardware bottleneck
+    (the HLS schedule's cycles per firing), the slowest softcore and
+    the NoC replay's drain time.
 
-    - -O3 / Vitis: each operator runs at the post-P&R Fmax with its HLS
-      schedule; the frame time is the pipeline bottleneck's cycles.
+    - -O3 / Vitis: a monolithic build has no NoC and no softcore; its
+      clock is the post-P&R Fmax.
     - -O1: compute runs at the 200 MHz overlay clock and every stream
-      crosses the linking network — the frame time is the max of the
-      compute bottleneck and the replayed NoC drain time.
-    - -O0: softcore pages execute their real RV32 binaries cycle by
-      cycle (co-simulated inside the KPN); hardware pages keep the -O1
-      model. The frame time is the slowest stage.
+      crosses the linking network; a page that fell back to a softcore
+      build joins the frame as a softcore.
+    - -O0: every page is a softcore, at the overlay clock.
 
-    Runs are supervised: a co-simulation that deadlocks or exhausts its
-    fuel raises {!Stalled} with a diagnosis (who is blocked, what sits
-    in each channel) rather than a bare exception, and a softcore that
-    traps raises {!Softcore_trap} with the core's machine state. *)
+    Runs are supervised at every level: a run that deadlocks or
+    exhausts its fuel raises {!Stalled} with a diagnosis (who is
+    blocked, what sits in each channel) rather than a bare scheduler
+    exception, and a softcore that traps raises {!Softcore_trap} with
+    the core's machine state. *)
 
 open Pld_ir
 
@@ -26,14 +30,14 @@ type perf = {
   ms_per_input : float;
   bottleneck : string;
   link_seconds : float;  (** NoC configuration (linking) time, -O0/-O1 *)
-  noc_dropped : int;  (** flits eaten by injected link faults (replay) *)
-  noc_corrupted : int;  (** flits whose CRC check failed on delivery *)
-  noc_retransmitted : int;  (** sender-side retransmissions that recovered them *)
 }
 
 type result = {
   outputs : (string * Value.t list) list;
   perf : perf;
+  noc : Pld_noc.Traffic.result option;
+      (** the frame's NoC replay — delivered, dropped, corrupted and
+          retransmitted flits; [None] on a monolithic (-O3/Vitis) build *)
   printed : (string * string) list;
   softcore_cycles : (string * int) list;  (** per softcore instance *)
   channel_stats : Pld_kpn.Network.channel_stats list;
@@ -81,15 +85,18 @@ val run :
   ?fuel:int ->
   ?faults:Pld_faults.Fault.t ->
   ?pmu:Pld_telemetry.Pmu.t ->
+  ?core_profile:Pld_riscv.Cpu.profile ->
   Build.app ->
   inputs:(string * Value.t list) list ->
   result
-(** Raises on validation failures; {!Stalled} when the co-simulation
-    wedges; {!Softcore_trap} when an injected (or real) trap fires.
-    [faults] drives softcore hang/trap injection and the NoC replay's
-    link faults. [pmu] collects windowed fabric series from every
-    engine the flow exercises (KPN scheduler, NoC replay, softcores) —
-    the input to {!Fabric_profile.of_run}. *)
+(** Raises on validation failures; {!Stalled} when the run wedges;
+    {!Softcore_trap} when an injected (or real) trap fires. [faults]
+    drives softcore hang/trap injection and the NoC replay's link
+    faults. [pmu] collects windowed fabric series from every engine the
+    flow exercises (KPN scheduler, NoC replay, softcores) — the input
+    to {!Fabric_profile.of_run}; it changes no modeled figure.
+    [core_profile] (default {!Pld_riscv.Cpu.picorv32}) is the timing
+    profile of every softcore page. *)
 
 val run_host : Graph.t -> inputs:(string * Value.t list) list -> (string * Value.t list) list * float
 (** The "X86 g++" column: execute the application natively on the host

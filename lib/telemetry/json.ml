@@ -319,6 +319,27 @@ let of_string s =
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
+module Decode = struct
+  let ( let* ) = Result.bind
+
+  let str_field j name =
+    match member name j with
+    | Some (String s) -> Ok s
+    | _ -> Error (Printf.sprintf "missing string field %S" name)
+
+  let int_field j name =
+    match member name j with
+    | Some (Int i) -> Ok i
+    | _ -> Error (Printf.sprintf "missing integer field %S" name)
+
+  let rec map_result f = function
+    | [] -> Ok []
+    | x :: rest ->
+        let* y = f x in
+        let* ys = map_result f rest in
+        Ok (y :: ys)
+end
+
 let render_pretty = pretty
 
 let write_file ?(pretty = false) ~file v =

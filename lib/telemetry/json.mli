@@ -41,6 +41,21 @@ val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] for a missing field or any other
     constructor. *)
 
+(** Result-returning readers for the [of_json] decoders: an [Error]
+    names the missing field; the caller prefixes its document kind. *)
+module Decode : sig
+  val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+
+  val str_field : t -> string -> (string, string) result
+  (** The [String] field [name] of an object. *)
+
+  val int_field : t -> string -> (int, string) result
+  (** The [Int] field [name] of an object. *)
+
+  val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+  (** Decode every element, stopping at the first [Error]. *)
+end
+
 val write_file : ?pretty:bool -> file:string -> t -> unit
 (** Serialize to [file] with a trailing newline (truncating any
     existing file). [pretty] (default false) selects the indented

@@ -180,23 +180,13 @@ let to_json t =
         Json.List (List.map (fun n -> series_json (Hashtbl.find t.p_tbl n)) (series_names t)) );
     ]
 
+open Json.Decode
+
 let num_field obj name =
   match Json.member name obj with
   | Some (Json.Float f) -> Ok f
   | Some (Json.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "pmu: missing numeric field %S" name)
-
-let int_field obj name =
-  match Json.member name obj with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "pmu: missing integer field %S" name)
-
-let str_field obj name =
-  match Json.member name obj with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "pmu: missing string field %S" name)
-
-let ( let* ) = Result.bind
+  | _ -> Error (Printf.sprintf "missing numeric field %S" name)
 
 let window_of_json j =
   let* i = int_field j "i" in
@@ -204,13 +194,6 @@ let window_of_json j =
   let* count = int_field j "count" in
   let* peak = num_field j "peak" in
   Ok { w_index = i; w_sum = sum; w_count = count; w_peak = peak }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
 
 let series_of_json t j =
   let* name = str_field j "name" in
@@ -224,7 +207,7 @@ let series_of_json t j =
   let* wins =
     match Json.member "windows" j with
     | Some (Json.List ws) -> map_result window_of_json ws
-    | _ -> Error "pmu: missing windows list"
+    | _ -> Error "missing windows list"
   in
   let s = series t ~unit_ name in
   s.s_total <- total;
@@ -244,9 +227,11 @@ let series_of_json t j =
   Ok ()
 
 let of_json j =
+  Result.map_error (fun e -> "pmu: " ^ e)
+  @@
   let* width = int_field j "window_cycles" in
   let* d = int_field j "depth" in
-  if width <= 0 || d <= 0 then Error "pmu: invalid window_cycles/depth"
+  if width <= 0 || d <= 0 then Error "invalid window_cycles/depth"
   else
     let t = create ~window_cycles:width ~depth:d () in
     let* () =
@@ -254,7 +239,7 @@ let of_json j =
       | Some (Json.List ss) ->
           let* _ = map_result (series_of_json t) ss in
           Ok ()
-      | _ -> Error "pmu: missing series list"
+      | _ -> Error "missing series list"
     in
     Ok t
 

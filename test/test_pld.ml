@@ -338,6 +338,52 @@ let test_mixed_execution_matches () =
     (List.map Value.to_int (List.assoc "cout" r.Runner.outputs));
   check_int "one softcore" 1 (List.length r.Runner.softcore_cycles)
 
+(* An underfed run wedges at every level, and every level reports it
+   the same way: the watchdog's diagnosis, never a bare scheduler
+   exception. *)
+let test_underfed_stalls_at_every_level () =
+  List.iter
+    (fun level ->
+      let where = Build.level_name level in
+      let app = Build.compile fp (pipeline ~n:8 3) ~level in
+      match Runner.run app ~inputs:(inputs 2) with
+      | _ -> Alcotest.fail (where ^ ": expected Stalled")
+      | exception Runner.Stalled d ->
+          Alcotest.(check (list string))
+            (where ^ ": every stage blocked") [ "stage0"; "stage1"; "stage2" ]
+            (List.sort compare d.Runner.blocked);
+          Alcotest.(check (list string))
+            (where ^ ": every channel reported") [ "c1"; "c2"; "cin"; "cout" ]
+            (List.map (fun (name, _, _) -> name) d.Runner.channels))
+    [ Build.O0; Build.O1; Build.O3 ]
+
+(* Profiling observes a run and changes none of its results: at every
+   level a profiled run reports the unprofiled outputs, softcore cycles
+   and perf record. The pipeline's middle stage is a softcore, so its
+   -O1 build is mixed; the Rosetta bench's -O1 build is all hardware. *)
+let test_profiling_changes_no_result () =
+  let spam = Pld_rosetta.Suite.find "spam" in
+  let cases =
+    [
+      ("pipe", Graph.retarget (pipeline ~n:64 3) "stage1" Graph.Riscv, inputs 64);
+      ("spam", spam.Pld_rosetta.Suite.graph (Graph.Hw { page_hint = None }), spam.Pld_rosetta.Suite.workload ());
+    ]
+  in
+  List.iter
+    (fun (name, g, inputs) ->
+      List.iter
+        (fun level ->
+          let where = name ^ " " ^ Build.level_name level in
+          let app = Build.compile fp g ~level in
+          let plain = Runner.run app ~inputs in
+          let profiled = Runner.run ~pmu:(Pld_telemetry.Pmu.create ()) app ~inputs in
+          check_bool (where ^ ": outputs") true (plain.Runner.outputs = profiled.Runner.outputs);
+          Alcotest.(check (list (pair string int)))
+            (where ^ ": softcore cycles") plain.Runner.softcore_cycles profiled.Runner.softcore_cycles;
+          check_bool (where ^ ": perf") true (plain.Runner.perf = profiled.Runner.perf))
+        [ Build.O0; Build.O1; Build.O3 ])
+    cases
+
 (* ---------- card + loader ---------- *)
 
 let test_deploy_o1 () =
@@ -602,6 +648,8 @@ let suite =
     ("-O0 orders slower", `Slow, test_o0_orders_slower);
     ("-O1 between -O3 and -O0", `Slow, test_o1_between);
     ("mixed softcore/fabric run", `Slow, test_mixed_execution_matches);
+    ("runner: an underfed run stalls at every level", `Slow, test_underfed_stalls_at_every_level);
+    ("runner: profiling changes no result", `Slow, test_profiling_changes_no_result);
     ("assign: colliding p_num pragmas", `Quick, test_assign_hint_collision);
     ("multi-frame streaming", `Quick, test_multi_frame_throughput);
     ("dma engine model", `Quick, test_dma_model);

@@ -63,6 +63,175 @@ let outputs_digest outputs =
     outputs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The full perf record and an MD5 of the channel stats of each
+   bench's -O0 and -O1 run. Floats are pinned to 17 significant
+   digits, which read back as the same float; the NoC counters are
+   (dropped, corrupted, retransmitted).
+   Every level runs the same network and one perf model, so a change
+   to how a run is assembled must keep all of them. *)
+type perf_pin = {
+  frame : int;
+  bottleneck : string;
+  fmax : string;
+  ms : string;
+  link : string;
+  noc : int * int * int;
+  stats_md5 : string;
+}
+
+let o0_perf_pins =
+  [
+    ( "rendering",
+      {
+        frame = 942_173;
+        bottleneck = "rast_top (softcore)";
+        fmax = "200";
+        ms = "4.711974333333333";
+        link = "4.5000000000000006e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "967c73e69c1b03e8b9324a1b944cb768";
+      } );
+    ( "digit",
+      {
+        frame = 787_908;
+        bottleneck = "knn_stage0 (softcore)";
+        fmax = "200";
+        ms = "3.9405613333333336";
+        link = "5.5000000000000003e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "e70adef1a799ec3aa2ecaee2160c2744";
+      } );
+    ( "spam",
+      {
+        frame = 149_478;
+        bottleneck = "scatter (softcore)";
+        fmax = "200";
+        ms = "0.74873666666666672";
+        link = "6.9999999999999992e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "f9e83bc4ef237094dad10744383caf0e";
+      } );
+    ( "optical",
+      {
+        frame = 1_614_555;
+        bottleneck = "tensor_y (softcore)";
+        fmax = "200";
+        ms = "8.0741163333333326";
+        link = "6.0000000000000008e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "b689a4d935647aff74dc11a2488c644b";
+      } );
+    ( "face",
+      {
+        frame = 397_763;
+        bottleneck = "integral (softcore)";
+        fmax = "200";
+        ms = "1.9899033333333334";
+        link = "6.9999999999999992e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "908bef48a643dddac0307798459d0312";
+      } );
+    ( "bnn",
+      {
+        frame = 13_509_281;
+        bottleneck = "bnn_conv2 (softcore)";
+        fmax = "200";
+        ms = "67.547491666666659";
+        link = "5.0000000000000004e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "8960efdd4f250b202714d4306f5eb5be";
+      } );
+  ]
+
+let o1_perf_pins =
+  [
+    ( "rendering",
+      {
+        frame = 1_724;
+        bottleneck = "rast_top";
+        fmax = "200";
+        ms = "0.0097293333333333329";
+        link = "5.0000000000000004e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "967c73e69c1b03e8b9324a1b944cb768";
+      } );
+    ( "digit",
+      {
+        frame = 3_074;
+        bottleneck = "knn_stage0";
+        fmax = "200";
+        ms = "0.016391333333333334";
+        link = "6.0000000000000008e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "e84725f3f7a3483f7f01d096c72f6e4d";
+      } );
+    ( "spam",
+      {
+        frame = 1_154;
+        bottleneck = "scatter";
+        fmax = "200";
+        ms = "0.007116666666666667";
+        link = "6.9999999999999992e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "2589dfb53bfb3865008d03d1b2fa9af9";
+      } );
+    ( "optical",
+      {
+        frame = 3_507;
+        bottleneck = "tensor_x";
+        fmax = "200";
+        ms = "0.018876333333333332";
+        link = "6.5e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "b26b5a5c6eb4db375de8067228678ba5";
+      } );
+    ( "face",
+      {
+        frame = 1_655;
+        bottleneck = "integral";
+        fmax = "200";
+        ms = "0.0093633333333333329";
+        link = "6.9999999999999992e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "042362c9616f79e2b1a22dc6e748e7f3";
+      } );
+    ( "bnn",
+      {
+        frame = 1_546;
+        bottleneck = "bnn_fc2";
+        fmax = "200";
+        ms = "0.0088166666666666671";
+        link = "5.0000000000000004e-08";
+        noc = (0, 0, 0);
+        stats_md5 = "d9e172dc1a143cbc3bc34562d2acfd3c";
+      } );
+  ]
+
+let stats_digest stats =
+  let module N = Pld_kpn.Network in
+  let line (s : N.channel_stats) =
+    Printf.sprintf "%s %d %d %d %d %d" s.N.chan s.N.tokens s.N.peak_occupancy s.N.block_events
+      s.N.blocked_reads s.N.blocked_writes
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map line stats)))
+
+let check_perf_pin pin (r : Pld_core.Runner.result) =
+  let module R = Pld_core.Runner in
+  let exact = Printf.sprintf "%.17g" in
+  let p = r.R.perf in
+  check_int "frame cycles" pin.frame p.R.frame_cycles;
+  Alcotest.(check string) "bottleneck" pin.bottleneck p.R.bottleneck;
+  Alcotest.(check string) "fmax" pin.fmax (exact p.R.fmax_mhz);
+  Alcotest.(check string) "ms per input" pin.ms (exact p.R.ms_per_input);
+  Alcotest.(check string) "link seconds" pin.link (exact p.R.link_seconds);
+  (match r.R.noc with
+  | None -> Alcotest.fail "paged run without a NoC replay"
+  | Some n ->
+      Alcotest.(check (triple int int int))
+        "noc dropped/corrupted/retransmitted" pin.noc
+        Pld_noc.Traffic.(n.dropped, n.corrupted, n.retransmitted));
+  Alcotest.(check string) "channel stats digest" pin.stats_md5 (stats_digest r.R.channel_stats)
+
 let o0_case (b : Suite.bench) () =
   (* Same source, softcore execution: outputs must still validate, and
      match the pinned cycles and output digest exactly. *)
@@ -76,7 +245,8 @@ let o0_case (b : Suite.bench) () =
   Alcotest.(check (list (pair string int)))
     "per-instance softcore cycles" cycles
     (List.sort compare r.Pld_core.Runner.softcore_cycles);
-  Alcotest.(check string) "output digest" digest (outputs_digest r.Pld_core.Runner.outputs)
+  Alcotest.(check string) "output digest" digest (outputs_digest r.Pld_core.Runner.outputs);
+  check_perf_pin (List.assoc b.Suite.name o0_perf_pins) r
 
 let o1_case (b : Suite.bench) () =
   let fp = Pld_fabric.Floorplan.u50 () in
@@ -85,7 +255,8 @@ let o1_case (b : Suite.bench) () =
   let app = Pld_core.Build.compile fp g ~level:Pld_core.Build.O1 in
   check_bool "every operator fits a page" true (List.length app.Pld_core.Build.assignment > 0);
   let r = Pld_core.Runner.run app ~inputs in
-  check_bool "page run validates" true (b.Suite.check ~inputs r.Pld_core.Runner.outputs)
+  check_bool "page run validates" true (b.Suite.check ~inputs r.Pld_core.Runner.outputs);
+  check_perf_pin (List.assoc b.Suite.name o1_perf_pins) r
 
 let test_optical_flow_shape () =
   (* The flow field of a 1-pixel right shift should be mostly negative
