@@ -7,8 +7,6 @@ let signed t = t.signed
 let raw t = t.bits
 let make ~signed ~int_bits bits = { signed; int_bits; bits }
 
-let zero ~signed ~width ~int_bits = { signed; int_bits; bits = Bits.zero width }
-
 let of_float ~signed ~width ~int_bits x =
   let frac = width - int_bits in
   let scaled = Float.round (x *. Float.pow 2.0 (float_of_int frac)) in
@@ -106,7 +104,3 @@ let is_zero t = Bits.is_zero t.bits
 
 let to_string t = Printf.sprintf "%.9g" (to_float t)
 
-let pp fmt t =
-  Format.fprintf fmt "%s<%d,%d>%s"
-    (if t.signed then "ap_fixed" else "ap_ufixed")
-    (width t) t.int_bits (to_string t)

@@ -18,8 +18,6 @@ val make : signed:bool -> int_bits:int -> Bits.t -> t
     [int_bits] may exceed the width or be negative (pure-fraction
     formats), as in the Xilinx library. *)
 
-val zero : signed:bool -> width:int -> int_bits:int -> t
-
 val of_float : signed:bool -> width:int -> int_bits:int -> float -> t
 (** Round to nearest, wrap on overflow (AP_RND-ish construction used
     only at the workload boundary). *)
@@ -53,5 +51,4 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -5,8 +5,7 @@ let signed t = t.signed
 let bits t = t.bits
 let make ~signed bits = { signed; bits }
 
-let of_int64 ?(signed = true) ~width v = { signed; bits = Bits.of_int64 ~width v }
-let of_int ?signed ~width v = of_int64 ?signed ~width (Int64.of_int v)
+let of_int ?(signed = true) ~width v = { signed; bits = Bits.of_int ~width v }
 
 let to_int64 t = if t.signed then Bits.to_int64_signed t.bits else Bits.to_int64_unsigned t.bits
 let to_int t = Int64.to_int (to_int64 t)
@@ -71,7 +70,6 @@ let rem a b =
   let a', b', s, _ = promote a b in
   { signed = s; bits = (if s then Bits.srem else Bits.urem) a'.bits b'.bits }
 
-let neg t = { t with bits = Bits.neg t.bits }
 let logand = grow2 Bits.logand 0
 let logor = grow2 Bits.logor 0
 let logxor = grow2 Bits.logxor 0
@@ -79,14 +77,10 @@ let lognot t = { t with bits = Bits.lognot t.bits }
 
 let shift_left t n = { t with bits = Bits.shift_left t.bits n }
 
-let shift_right t n =
-  { t with bits = (if t.signed then Bits.shift_right_arith else Bits.shift_right_logical) t.bits n }
-
 let compare a b =
   let a', b', s, _ = promote a b in
   if s then Bits.compare_signed a'.bits b'.bits else Bits.compare_unsigned a'.bits b'.bits
 
-let equal a b = compare a b = 0
 
 let min_value ~signed ~width =
   if signed then { signed; bits = Bits.set (Bits.zero width) (width - 1) true }
@@ -98,6 +92,3 @@ let max_value ~signed ~width =
 
 let to_string t =
   if t.signed then Bits.to_decimal_signed t.bits else Bits.to_decimal_unsigned t.bits
-
-let pp fmt t =
-  Format.fprintf fmt "%s<%d>%s" (if t.signed then "ap_int" else "ap_uint") (width t) (to_string t)

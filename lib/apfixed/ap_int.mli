@@ -18,7 +18,6 @@ val make : signed:bool -> Bits.t -> t
 val of_int : ?signed:bool -> width:int -> int -> t
 (** [signed] defaults to [true] (ap_int rather than ap_uint). *)
 
-val of_int64 : ?signed:bool -> width:int -> int64 -> t
 val to_int64 : t -> int64
 (** Value according to signedness (sign- or zero-extended to 64 bits). *)
 
@@ -34,23 +33,16 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 val rem : t -> t -> t
-val neg : t -> t
 val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t
 val lognot : t -> t
 val shift_left : t -> int -> t
-val shift_right : t -> int -> t
-(** Arithmetic for signed, logical for unsigned. *)
 
 val compare : t -> t -> int
 (** Value comparison (handles mixed signedness). *)
 
-val equal : t -> t -> bool
-(** Value equality. *)
-
 val min_value : signed:bool -> width:int -> t
 val max_value : signed:bool -> width:int -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -44,7 +44,14 @@ let of_int64 ~width v =
   done;
   normalize t
 
-let of_int ~width v = of_int64 ~width (Int64.of_int v)
+(* Same pattern as [of_int64 ~width (Int64.of_int v)], without boxing. *)
+let of_int ~width v =
+  check_width width;
+  let n = nlimbs width in
+  let t = { width; limbs = Array.make n (if v < 0 then limb_mask else 0) } in
+  t.limbs.(0) <- v land limb_mask;
+  if n > 1 then t.limbs.(1) <- (v asr limb_bits) land limb_mask;
+  normalize t
 
 let one width = of_int ~width 1
 
@@ -81,7 +88,9 @@ let to_int64_signed t =
   else if msb t then Int64.logor v (Int64.shift_left (-1L) t.width)
   else v
 
-let to_int_trunc t = Int64.to_int (Int64.logand (to_int64_unsigned t) 0x3FFFFFFFFFFFFFFFL)
+let to_int_trunc t =
+  let lo = t.limbs.(0) in
+  if Array.length t.limbs = 1 then lo else (lo lor (t.limbs.(1) lsl limb_bits)) land max_int
 
 let require_same_width name a b =
   if a.width <> b.width then
@@ -236,25 +245,36 @@ let mul a b =
   require_same_width "mul" a b;
   resize ~signed:false ~width:a.width (mul_full a b)
 
-(* Restoring long division, bit by bit. Slow but simple; operand widths
-   in this code base are <= 128 so this is never a bottleneck. *)
+(* Restoring long division, bit by bit, on the limbs in place. The
+   partial remainder never reaches 2^width: after k steps it is at most
+   the top k bits of [a]. *)
 let udivmod a b =
   require_same_width "udivmod" a b;
   let w = a.width in
   if is_zero b then (ones w, copy a)
   else begin
-    let q = zero w in
-    let r = ref (zero w) in
-    let q = ref q in
+    let q = zero w and r = zero w in
+    let n = Array.length r.limbs in
+    let al = a.limbs and bl = b.limbs and ql = q.limbs and rl = r.limbs in
+    let rec at_least k = k < 0 || (rl.(k) = bl.(k) && at_least (k - 1)) || rl.(k) > bl.(k) in
     for i = w - 1 downto 0 do
-      r := shift_left !r 1;
-      if get a i then r := logor !r (one w);
-      if compare_unsigned !r b >= 0 then begin
-        r := sub !r b;
-        q := set !q i true
+      let carry = ref ((al.(i / limb_bits) lsr (i mod limb_bits)) land 1) in
+      for k = 0 to n - 1 do
+        let v = (rl.(k) lsl 1) lor !carry in
+        rl.(k) <- v land limb_mask;
+        carry := v lsr limb_bits
+      done;
+      if at_least (n - 1) then begin
+        let borrow = ref 0 in
+        for k = 0 to n - 1 do
+          let v = rl.(k) - bl.(k) - !borrow in
+          rl.(k) <- v land limb_mask;
+          borrow := if v < 0 then 1 else 0
+        done;
+        ql.(i / limb_bits) <- ql.(i / limb_bits) lor (1 lsl (i mod limb_bits))
       end
     done;
-    (!q, !r)
+    (q, r)
   end
 
 let udiv a b = fst (udivmod a b)
@@ -332,12 +352,3 @@ let to_decimal_unsigned t =
 
 let to_decimal_signed t =
   if msb t then "-" ^ to_decimal_unsigned (neg t) else to_decimal_unsigned t
-
-let random rng ~width =
-  let t = zero width in
-  for k = 0 to Array.length t.limbs - 1 do
-    t.limbs.(k) <- Int64.to_int (Int64.logand (Pld_util.Rng.bits64 rng) 0xFFFFFFFFL)
-  done;
-  normalize t
-
-let pp fmt t = Format.fprintf fmt "%d'h%s" t.width (to_hex t)

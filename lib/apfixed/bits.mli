@@ -96,8 +96,3 @@ val to_hex : t -> string
 
 val to_decimal_unsigned : t -> string
 val to_decimal_signed : t -> string
-
-val random : Pld_util.Rng.t -> width:int -> t
-
-val pp : Format.formatter -> t -> unit
-(** Renders as [width'hHEX]. *)

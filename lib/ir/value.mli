@@ -2,7 +2,16 @@
 
     A value always carries its {!Dtype.t}; arithmetic between values
     follows the HLS growth rules (via {!Pld_apfixed}), and assignment
-    narrows with {!cast}. *)
+    narrows with {!cast}.
+
+    A value of at most {!narrow_bits} bits holds its raw pattern as an
+    immediate [int] (the pattern read under the dtype's sign); only
+    wider values keep the arbitrary-width limb representation. The
+    arithmetic below ({!add} to {!shift_right}) is the limb path for
+    every width, while casts, comparisons and conversions between
+    narrow values stay on immediates; the compiled evaluator
+    ({!Interp}) computes narrow nodes on immediates with the
+    primitives at the end of this interface. *)
 
 open Pld_apfixed
 
@@ -63,3 +72,50 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** {2 Immediates}
+
+    An {e image} of a value is an [int]: for a narrow dtype it is the
+    raw pattern read under the dtype's sign (the value is
+    [image * 2^-frac]); for a wider one it is the pattern's low 63 bits.
+    The low bits of a sum, difference, product, bitwise result or left
+    shift depend only on the low bits of its operands, which is what
+    lets a narrowing cast above such a node take images. *)
+
+val narrow_bits : int
+(** 62: the widest dtype held as an immediate. *)
+
+val is_narrow : Dtype.t -> bool
+
+val low : t -> int
+(** The value's image. *)
+
+val of_low : Dtype.t -> int -> t
+(** The narrow value with this image (which must already fit the
+    dtype, as {!fit} makes it). *)
+
+val frac : Dtype.t -> int
+(** Fraction bits: width minus integer bits (negative when the integer
+    bits exceed the width). *)
+
+val fit : Dtype.t -> int -> int
+(** [fit dt x] keeps the low [width dt] bits of [x] and reads them
+    under [dt]'s sign: the image of the wrapped value. Narrow [dt]
+    only. *)
+
+val rescale : int -> int -> int
+(** [rescale d x] is [x * 2^d] modulo 2^63 for [d >= 0], and [x]
+    shifted right arithmetically by [-d] (truncating toward negative
+    infinity) for [d < 0]. *)
+
+val raw_cast : src:Dtype.t -> dst:Dtype.t -> int -> int
+(** {!cast} on images, for a narrow [dst]: exact from a narrow [src];
+    from a wide one only when the kept bits lie below bit 63. *)
+
+val raw_bitcast : src:Dtype.t -> dst:Dtype.t -> int -> int
+(** {!bitcast} on images when [dst] or [src] is narrow. *)
+
+val int_of_low : Dtype.t -> (int -> int) option
+(** {!to_int} on the images of a dtype: any integer-valued dtype (its
+    value modulo 2^63 is its image), or a narrow one whose integer part
+    fits an immediate. *)

@@ -91,30 +91,40 @@ let run ?fuel ?(rounds = 1) ?(processor = false) ?order ?pmu ?(rates = [])
         let print text = printed := (i.inst_name, text) :: !printed in
         let interpreted () =
           let p = pace i.Graph.inst_name in
+          (* Ports resolve to channels here, once per instance. *)
           let io : Interp.io =
             {
               read =
                 (fun name ->
-                  let v = Network.read (port name) in
-                  (* Pacing yields model compute time, not blocking — they
-                     count as progress so they can't trip the deadlock
-                     detector while every peer happens to be waiting. *)
-                  for _ = 2 to p do
-                    Network.note_progress net;
-                    Network.yield ()
-                  done;
-                  v);
-              write = (fun name v -> Network.write (port name) v);
+                  let ch = port name in
+                  fun () ->
+                    let v = Network.read ch in
+                    (* Pacing yields model compute time, not blocking — they
+                       count as progress so they can't trip the deadlock
+                       detector while every peer happens to be waiting. *)
+                    for _ = 2 to p do
+                      Network.note_progress net;
+                      Network.yield ()
+                    done;
+                    v);
+              write =
+                (fun name ->
+                  let ch = port name in
+                  fun v -> Network.write ch v);
               printf =
                 (fun msg args ->
                   print (msg ^ String.concat "" (List.map (fun v -> " " ^ Value.to_string v) args)));
             }
           in
-          for _ = 1 to rounds do
-            Interp.run_operator ~processor ~counters:c i.op io
-          done
+          let fire = Interp.compile ~processor ~counters:c i.op io in
+          fun () ->
+            for _ = 1 to rounds do
+              fire ()
+            done
         in
-        let process = Option.value (body i { net; port; print }) ~default:interpreted in
+        let process =
+          match body i { net; port; print } with Some p -> p | None -> interpreted ()
+        in
         Network.add_process net ~name:i.inst_name process;
         (i.inst_name, c))
       (ordered_instances ?order g)

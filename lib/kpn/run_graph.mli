@@ -53,7 +53,10 @@ val run :
 
     [body i io], called once per instance at registration, may supply
     that instance's process (a softcore, say); [None] (the default for
-    every instance) runs the reference interpreter, [rounds] times.
+    every instance) runs the reference evaluator, [rounds] times. The
+    operator is compiled ({!Pld_ir.Interp.compile}) and its ports
+    resolved to channels once, at registration, and the compiled form
+    lives only as long as this run.
 
     Raises {!Validate.Invalid}, or {!Network.Deadlock} /
     {!Network.Out_of_fuel} mapped through [watchdog] (default: the

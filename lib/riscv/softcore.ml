@@ -1,83 +1,100 @@
 open Pld_ir
 module Bits = Pld_apfixed.Bits
 
-let read_slot cpu ~addr (ty : Aptype.t) =
-  let words = (ty.Aptype.width + 31) / 32 in
-  let bits = ref (Bits.zero (max 1 (words * 32))) in
-  for k = 0 to words - 1 do
-    let w = Cpu.read_word cpu (addr + (4 * k)) in
-    let chunk = Bits.of_int64 ~width:(words * 32) (Int64.logand (Int64.of_int32 w) 0xFFFFFFFFL) in
-    bits := Bits.logor !bits (Bits.shift_left chunk (32 * k))
-  done;
-  Value.of_bits (Aptype.to_dtype ty) (Bits.resize ~signed:false ~width:ty.Aptype.width !bits)
+(* A slot holds a value's raw pattern in little-endian 32-bit words,
+   zero above its width. Narrow values (one or two words) move as
+   immediates; wider ones go through [Bits]. *)
+
+let read_raw cpu ~addr dt =
+  let word k = Int32.to_int (Cpu.read_word cpu (addr + (4 * k))) land 0xFFFF_FFFF in
+  Value.fit dt (if Dtype.width dt <= 32 then word 0 else word 0 lor (word 1 lsl 32))
+
+let write_raw cpu ~addr dt x =
+  let w = Dtype.width dt in
+  let pattern = x land ((1 lsl w) - 1) in
+  Cpu.write_word cpu addr (Int32.of_int pattern);
+  if w > 32 then Cpu.write_word cpu (addr + 4) (Int32.of_int (pattern lsr 32))
+
+let read_slot cpu ~addr dt =
+  let width = Dtype.width dt in
+  if Value.is_narrow dt then Value.of_low dt (read_raw cpu ~addr dt)
+  else begin
+    let words = (width + 31) / 32 in
+    let bits = ref (Bits.zero (words * 32)) in
+    for k = 0 to words - 1 do
+      let w = Cpu.read_word cpu (addr + (4 * k)) in
+      let chunk = Bits.of_int64 ~width:(words * 32) (Int64.logand (Int64.of_int32 w) 0xFFFFFFFFL) in
+      bits := Bits.logor !bits (Bits.shift_left chunk (32 * k))
+    done;
+    Value.of_bits dt (Bits.resize ~signed:false ~width !bits)
+  end
 
 let write_slot cpu ~addr v =
-  let bits = Value.to_bits v in
-  let w = Bits.width bits in
-  let words = (w + 31) / 32 in
-  let padded = Bits.resize ~signed:false ~width:(words * 32) bits in
-  for k = 0 to words - 1 do
-    let chunk = Bits.extract padded ~hi:((32 * k) + 31) ~lo:(32 * k) in
-    Cpu.write_word cpu (addr + (4 * k)) (Int64.to_int32 (Bits.to_int64_unsigned chunk))
-  done
+  let dt = Value.dtype v in
+  if Value.is_narrow dt then write_raw cpu ~addr dt (Value.low v)
+  else begin
+    let bits = Value.to_bits v in
+    let words = (Bits.width bits + 31) / 32 in
+    let padded = Bits.resize ~signed:false ~width:(words * 32) bits in
+    for k = 0 to words - 1 do
+      let chunk = Bits.extract padded ~hi:((32 * k) + 31) ~lo:(32 * k) in
+      Cpu.write_word cpu (addr + (4 * k)) (Int64.to_int32 (Bits.to_int64_unsigned chunk))
+    done
+  end
 
-let apply_bin (op : Expr.binop) a b =
-  match op with
-  | Expr.Add -> Value.add a b
-  | Expr.Sub -> Value.sub a b
-  | Expr.Mul -> Value.mul a b
-  | Expr.Div -> Value.div a b
-  | Expr.Rem -> Value.rem a b
-  | Expr.And -> Value.logand a b
-  | Expr.Or -> Value.logor a b
-  | Expr.Xor -> Value.logxor a b
-  | Expr.Shl -> Value.shift_left a (Value.to_int b)
-  | Expr.Shr -> Value.shift_right a (Value.to_int b)
-  | Expr.Eq -> Value.of_bool (Value.equal_value a b)
-  | Expr.Ne -> Value.of_bool (not (Value.equal_value a b))
-  | Expr.Lt -> Value.of_bool (Value.compare a b < 0)
-  | Expr.Le -> Value.of_bool (Value.compare a b <= 0)
-  | Expr.Gt -> Value.of_bool (Value.compare a b > 0)
-  | Expr.Ge -> Value.of_bool (Value.compare a b >= 0)
-  | Expr.LAnd -> Value.of_bool (Value.to_bool a && Value.to_bool b)
-  | Expr.LOr -> Value.of_bool (Value.to_bool a || Value.to_bool b)
+(* One call site: reads its operand slots at [a1]/[a2] and writes the
+   result slot at [a0]. Narrow operands and result take the
+   evaluator's kernel; anything else its limb path. *)
+let site_code ~printf (s : Codegen.site) : Cpu.t -> int -> int -> int -> unit =
+  let narrow = Value.is_narrow and dtype = Aptype.to_dtype in
+  let unary ta kernel limb =
+    let da = dtype ta in
+    match kernel with
+    | Some (Interp.Imm (r, k)) when narrow da && narrow r ->
+        fun cpu a0 a1 _ -> write_raw cpu ~addr:a0 r (k (read_raw cpu ~addr:a1 da))
+    | _ -> fun cpu a0 a1 _ -> write_slot cpu ~addr:a0 (limb (read_slot cpu ~addr:a1 da))
+  in
+  match s with
+  | Codegen.Sbin (op, ta, tb) -> (
+      let da = dtype ta and db = dtype tb in
+      match Interp.bin_kernel op da db with
+      | Some (Interp.Imm (r, k)) when narrow da && narrow db && narrow r ->
+          fun cpu a0 a1 a2 ->
+            let x = read_raw cpu ~addr:a1 da in
+            write_raw cpu ~addr:a0 r (k x (read_raw cpu ~addr:a2 db))
+      | _ ->
+          let f = Interp.binop op in
+          fun cpu a0 a1 a2 ->
+            let va = read_slot cpu ~addr:a1 da in
+            write_slot cpu ~addr:a0 (f va (read_slot cpu ~addr:a2 db)))
+  | Codegen.Sun (op, ta) -> unary ta (Interp.un_kernel op (dtype ta)) (Interp.unop op)
+  | Codegen.Scast (ta, tb) ->
+      let dst = dtype tb in
+      unary ta (Some (Interp.cast_kernel ~src:(dtype ta) ~dst)) (Value.cast dst)
+  | Codegen.Sbitcast (ta, tb) ->
+      let dst = dtype tb in
+      unary ta (Some (Interp.bitcast_kernel ~src:(dtype ta) ~dst)) (Value.bitcast dst)
+  | Codegen.Sprint (msg, tys) ->
+      fun cpu _ a1 _ ->
+        let args = List.mapi (fun i ty -> read_slot cpu ~addr:(a1 + (i * 32)) (dtype ty)) tys in
+        printf (msg ^ String.concat "" (List.map (fun v -> " " ^ Value.to_string v) args))
 
-let boot ?(mem_kb = 192) ?(profile = Cpu.picorv32) ~stream_read ~stream_write ?(printf = fun _ -> ()) (p : Codegen.program) =
-  let handler cpu =
+let runtime ?(printf = fun _ -> ()) (p : Codegen.program) =
+  let code = Array.map (site_code ~printf) p.Codegen.meta in
+  let cost = Array.map Codegen.cost_of_site p.Codegen.meta in
+  fun cpu ->
     let a0 = Int32.to_int (Cpu.read_reg cpu Isa.a0) in
     let a1 = Int32.to_int (Cpu.read_reg cpu Isa.a1) in
     let a2 = Int32.to_int (Cpu.read_reg cpu Isa.a2) in
     let idx = Int32.to_int (Cpu.read_reg cpu Isa.a7) in
-    if idx < 0 || idx >= Array.length p.Codegen.meta then
+    if idx < 0 || idx >= Array.length code then
       invalid_arg (Printf.sprintf "softcore %s: bad ecall site %d" p.Codegen.op_name idx);
-    let s = p.Codegen.meta.(idx) in
-    (match s with
-    | Codegen.Sbin (op, ta, tb) ->
-        let va = read_slot cpu ~addr:a1 ta and vb = read_slot cpu ~addr:a2 tb in
-        write_slot cpu ~addr:a0 (apply_bin op va vb)
-    | Codegen.Sun (op, ta) ->
-        let v = read_slot cpu ~addr:a1 ta in
-        let r =
-          match op with
-          | Expr.Neg -> Value.neg v
-          | Expr.BNot -> Value.lognot v
-          | Expr.LNot -> Value.of_bool (not (Value.to_bool v))
-        in
-        write_slot cpu ~addr:a0 r
-    | Codegen.Scast (ta, tb) ->
-        let v = read_slot cpu ~addr:a1 ta in
-        write_slot cpu ~addr:a0 (Value.cast (Aptype.to_dtype tb) v)
-    | Codegen.Sbitcast (ta, tb) ->
-        let v = read_slot cpu ~addr:a1 ta in
-        write_slot cpu ~addr:a0 (Value.bitcast (Aptype.to_dtype tb) v)
-    | Codegen.Sprint (msg, tys) ->
-        let args =
-          List.mapi (fun i ty -> read_slot cpu ~addr:(a1 + (i * 32)) ty) tys
-        in
-        printf (msg ^ String.concat "" (List.map (fun v -> " " ^ Value.to_string v) args)));
-    Codegen.cost_of_site s
-  in
-  let cpu = Cpu.create ~mem_kb ~profile ~stream_read ~stream_write ~on_ecall:handler () in
+    code.(idx) cpu a0 a1 a2;
+    cost.(idx)
+
+let boot ?(mem_kb = 192) ?(profile = Cpu.picorv32) ~stream_read ~stream_write ?printf (p : Codegen.program) =
+  let on_ecall = runtime ?printf p in
+  let cpu = Cpu.create ~mem_kb ~profile ~stream_read ~stream_write ~on_ecall () in
   Cpu.load_words cpu ~addr:0 p.Codegen.image.Asm.words;
   List.iter (fun (addr, words) -> Cpu.load_words cpu ~addr words) p.Codegen.data_init;
   cpu

@@ -5,6 +5,7 @@ let () =
       ("apfixed", Test_apfixed.suite);
       ("ir", Test_ir.suite);
       ("aptype", Test_aptype.suite);
+      ("value", Test_value.suite);
       ("kpn", Test_kpn.suite);
       ("hls", Test_hls.suite);
       ("noc", Test_noc.suite);

@@ -258,6 +258,58 @@ let o1_case (b : Suite.bench) () =
   check_bool "page run validates" true (b.Suite.check ~inputs r.Pld_core.Runner.outputs);
   check_perf_pin (List.assoc b.Suite.name o1_perf_pins) r
 
+(* The reference interpreter's outputs and summed counters for each
+   bench, and the -O3 run's outputs (the same network, built at -O3).
+   Recorded before the interpreter was compiled into closures: a
+   change to how operators are evaluated must keep every figure. The
+   counters are (ops, reads, writes, loop iterations, multiplies,
+   divides). *)
+let reference_pins =
+  [
+    ("rendering", ("6faf998494d41a45804067a30dbca2e0", (31208, 408, 592, 3040, 833, 8)));
+    ("digit", ("9f3c191f8a79af09d3fdd6eb0c46ce1d", (101404, 488, 440, 10976, 1120, 0)));
+    ("spam", ("d685cb09d9ccb2e4b65d32681571e7f4", (7763, 2112, 1104, 2144, 1040, 0)));
+    ("optical", ("60a7d721267cc9c1b31f530c0a866245", (131462, 5632, 5632, 4416, 14856, 392)));
+    ("face", ("efa774098e01fb76f9ad436438d19334", (10822, 1307, 1060, 2585, 779, 0)));
+    ("bnn", ("54e751692999529dada1d44d5e9cf092", (535932, 836, 584, 2156, 12544, 0)));
+  ]
+
+let reference_case (b : Suite.bench) () =
+  let g = b.Suite.graph hw in
+  let inputs = b.Suite.workload () in
+  let r = Pld_kpn.Run_graph.run g ~inputs in
+  let digest, counts = List.assoc b.Suite.name reference_pins in
+  Alcotest.(check string) "reference output digest" digest (outputs_digest r.Pld_kpn.Run_graph.outputs);
+  let sum f = List.fold_left (fun a (_, c) -> a + f c) 0 r.Pld_kpn.Run_graph.op_counters in
+  let ops, reads, writes, iters, muls, divs = counts in
+  List.iter
+    (fun (name, want, f) -> check_int name want (sum f))
+    [
+      ("ops", ops, fun c -> c.Interp.ops);
+      ("reads", reads, fun c -> c.Interp.reads);
+      ("writes", writes, fun c -> c.Interp.writes);
+      ("loop iterations", iters, fun c -> c.Interp.loop_iterations);
+      ("multiplies", muls, fun c -> c.Interp.multiplies);
+      ("divides", divs, fun c -> c.Interp.divides);
+    ];
+  let app = Pld_core.Build.compile (Pld_fabric.Floorplan.u50 ()) g ~level:Pld_core.Build.O3 in
+  let r3 = Pld_core.Runner.run app ~inputs in
+  Alcotest.(check string) "-O3 output digest" digest (outputs_digest r3.Pld_core.Runner.outputs)
+
+(* The evaluator keeps narrow values as immediates, so a reference run
+   allocates little beyond its tokens: fewer than 5 minor words per
+   evaluated node over bnn, the largest run. Counted, not timed. *)
+let test_reference_run_allocation () =
+  let b = Suite.find "bnn" in
+  let g = b.Suite.graph hw in
+  let inputs = b.Suite.workload () in
+  let before = Gc.minor_words () in
+  let r = Pld_kpn.Run_graph.run g ~inputs in
+  let words = Gc.minor_words () -. before in
+  let nodes = List.fold_left (fun a (_, c) -> a + c.Interp.ops) 0 r.Pld_kpn.Run_graph.op_counters in
+  let per_node = words /. float_of_int nodes in
+  check_bool (Printf.sprintf "%.1f minor words per node (%d nodes)" per_node nodes) true (per_node < 5.0)
+
 let test_optical_flow_shape () =
   (* The flow field of a 1-pixel right shift should be mostly negative
      u (content moved from left), near-zero v in the interior. *)
@@ -338,6 +390,7 @@ let suite =
         (b.Suite.name ^ ": functional vs reference", `Quick, functional_case b);
         (b.Suite.name ^ ": -O0 softcore run", `Slow, o0_case b);
         (b.Suite.name ^ ": -O1 page build + run", `Slow, o1_case b);
+        (b.Suite.name ^ ": reference interpreter pinned", `Quick, reference_case b);
       ])
     Suite.all
   @ [
@@ -347,6 +400,7 @@ let suite =
       ("rendering depths bounded", `Quick, test_rendering_depths_bounded);
       ("bnn classes in range", `Quick, test_bnn_classes_in_range);
       ("face window count", `Quick, test_face_window_count);
+      ("reference run allocates under 5 words per node", `Quick, test_reference_run_allocation);
       QCheck_alcotest.to_alcotest prop_rendering_random_workloads;
       QCheck_alcotest.to_alcotest prop_bnn_random_workloads;
     ]
