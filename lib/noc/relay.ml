@@ -31,7 +31,7 @@ let leaf_tile (fp : Fp.t) leaf =
                    (List.map (fun (p : Fp.page) -> string_of_int p.page_id) fp.Fp.pages))))
 
 let replay fp links =
-  let active = List.filter (fun (l : Traffic.link) -> l.Traffic.tokens > 0 && l.Traffic.src_leaf <> l.Traffic.dst_leaf) links in
+  let active = List.filter Traffic.active links in
   let per_link (l : Traffic.link) =
     let sx, sy = leaf_tile fp l.Traffic.src_leaf in
     let dx, dy = leaf_tile fp l.Traffic.dst_leaf in

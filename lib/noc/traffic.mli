@@ -34,15 +34,22 @@ val total_tokens : link list -> int
 (** Sum of per-link token counts — the exactly-once delivery oracle
     compares {!result.delivered} against this. *)
 
+val active : link -> bool
+(** A link that moves flits across the network: it has tokens, and its
+    source and destination leaves differ (a page talking to itself
+    never touches a wire). *)
+
 val configure_links : Bft.t -> link list -> unit
 (** Program every source leaf's routing registers. *)
 
 val replay : ?max_cycles:int -> Bft.t -> link list -> result
-(** Configure, then inject round-robin per leaf until all tokens are
-    delivered (retransmitting casualties). *)
+(** Configure every link, then inject the {!active} links' tokens
+    round-robin per leaf until all are delivered (retransmitting
+    casualties). Raises {!Bft.Undelivered} past [max_cycles]. *)
 
 val config_cycles : ?max_rounds:int -> Bft.t -> link list -> int
 (** Cycles to deliver the configuration packets themselves through the
     network from the DMA leaf (leaf 0) — the paper's "link a page in a
     few packets" cost. Lost config packets are re-sent (bounded by
-    [max_rounds] host retransmission rounds, default 1000). *)
+    [max_rounds] host retransmission rounds, default 1000, past which
+    it raises {!Bft.Undelivered}). *)

@@ -180,9 +180,11 @@ let deploy ?faults ?(max_retries = 3) card (app : Build.app) =
         Telemetry.with_span tele ~cat:"loader"
           ~attrs:[ ("links", string_of_int (List.length links)) ]
           "link" (fun () ->
-            let cycles = Pld_noc.Traffic.config_cycles net links in
-            Pld_noc.Traffic.configure_links net links;
-            cycles)
+            match Pld_noc.Traffic.config_cycles net links with
+            | cycles ->
+                Pld_noc.Traffic.configure_links net links;
+                cycles
+            | exception Pld_noc.Bft.Undelivered msg -> deploy_failed "linking failed: %s" msg)
       in
       t := !t +. (float_of_int cycles /. 200.0e6);
       Telemetry.set_gauge (Telemetry.gauge tele "loader.seconds") !t;

@@ -34,8 +34,10 @@ type deploy_result = {
 }
 
 exception Deploy_failed of string
-(** The recovery ladder ran out of clean pages. The message carries the
-    defect map; a full recompile (new floorplan) is the only way out. *)
+(** The recovery ladder ran out of clean pages (the message carries the
+    defect map; a full recompile, new floorplan, is the only way out),
+    or the link step could not deliver its configuration packets
+    through a lossy network. *)
 
 val describe_recovery : recovery_event -> string
 

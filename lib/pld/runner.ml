@@ -81,11 +81,7 @@ let noc_replay ?faults ?pmu (app : Build.app) channel_stats =
   let links = noc_links app channel_stats in
   let net = Pld_noc.Bft.create ~leaves:(Flow.noc_leaves app.Build.fp) ?faults ?pmu () in
   let cfg = Pld_noc.Traffic.config_cycles net links in
-  let r =
-    Pld_noc.Traffic.replay net
-      (List.filter (fun (l : Pld_noc.Traffic.link) -> l.tokens > 0 && l.src_leaf <> l.dst_leaf) links)
-  in
-  (cfg, r)
+  (cfg, Pld_noc.Traffic.replay net links)
 
 (* The slowest (name, cycles) entry, the first one on a tie; ("-", 0)
    for none. *)
@@ -218,7 +214,13 @@ let run ?fuel ?faults ?pmu ?core_profile (app : Build.app) ~inputs =
         (float_of_int cycles))
     softcore_cycles;
   let hw_name, hw_frame = slowest hw_cycles and soft_name, soft_frame = slowest softcore_cycles in
-  let noc = if paged then Some (noc_replay ?faults ?pmu app channel_stats) else None in
+  let noc =
+    if not paged then None
+    else
+      try Some (noc_replay ?faults ?pmu app channel_stats)
+      with Pld_noc.Bft.Undelivered msg ->
+        raise (Stalled { stall_reason = "linking network: " ^ msg; blocked = []; channels = [] })
+  in
   let cfg_cycles, noc_cycles =
     match noc with Some (cfg, replay) -> (cfg, replay.Pld_noc.Traffic.cycles) | None -> (0, 0)
   in

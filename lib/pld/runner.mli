@@ -59,7 +59,11 @@ type stall_diagnosis = {
 exception Stalled of stall_diagnosis
 (** The co-simulation watchdog: raised in place of
     [Pld_kpn.Network.Deadlock] / [Out_of_fuel] with enough structure
-    to tell a hung operator from an underfed input. *)
+    to tell a hung operator from an underfed input. A frame whose
+    traffic the linking network cannot deliver
+    ([Pld_noc.Bft.Undelivered], e.g. under a link drop rate too high
+    to make progress) stalls too, with a [stall_reason] naming the
+    linking network and no blocked instances. *)
 
 val describe_stall : stall_diagnosis -> string
 
@@ -79,7 +83,8 @@ val noc_replay :
     identical to the deployed overlay's network. Returns (config
     cycles, replay result). With [faults], drop/corrupt rates apply and
     the result's fault counters are meaningful. [pmu] receives the
-    replay network's windowed link/delay/deflection series. *)
+    replay network's windowed link/delay/deflection series. Raises
+    [Pld_noc.Bft.Undelivered] when the traffic cannot be delivered. *)
 
 val run :
   ?fuel:int ->
