@@ -1,15 +1,19 @@
-type t = { signed : bool; width : int; int_bits : int; is_bool : bool }
+type t = { signed : bool; width : int; int_bits : int; is_bool : bool; fixed : bool }
 
 let of_dtype = function
-  | Dtype.Bool -> { signed = false; width = 1; int_bits = 1; is_bool = true }
-  | Dtype.UInt w -> { signed = false; width = w; int_bits = w; is_bool = false }
-  | Dtype.SInt w -> { signed = true; width = w; int_bits = w; is_bool = false }
-  | Dtype.UFixed { width; int_bits } -> { signed = false; width; int_bits; is_bool = false }
-  | Dtype.SFixed { width; int_bits } -> { signed = true; width; int_bits; is_bool = false }
+  | Dtype.Bool -> { signed = false; width = 1; int_bits = 1; is_bool = true; fixed = false }
+  | Dtype.UInt w -> { signed = false; width = w; int_bits = w; is_bool = false; fixed = false }
+  | Dtype.SInt w -> { signed = true; width = w; int_bits = w; is_bool = false; fixed = false }
+  | Dtype.UFixed { width; int_bits } -> { signed = false; width; int_bits; is_bool = false; fixed = true }
+  | Dtype.SFixed { width; int_bits } -> { signed = true; width; int_bits; is_bool = false; fixed = true }
+
+(* A computed result: Value canonicalizes it, so it is an integer type
+   exactly when it has no fraction bits. *)
+let result ~signed ~width ~int_bits = { signed; width; int_bits; is_bool = false; fixed = false }
 
 let to_dtype t =
   if t.is_bool then Dtype.Bool
-  else if t.width = t.int_bits then if t.signed then Dtype.SInt t.width else Dtype.UInt t.width
+  else if t.width = t.int_bits && not t.fixed then if t.signed then Dtype.SInt t.width else Dtype.UInt t.width
   else if t.signed then Dtype.SFixed { width = t.width; int_bits = t.int_bits }
   else Dtype.UFixed { width = t.width; int_bits = t.int_bits }
 
@@ -25,19 +29,13 @@ let align_params a b =
 
 let add a b =
   let s, i, f = align_params a b in
-  { signed = s; width = i + f + 1; int_bits = i + 1; is_bool = false }
+  result ~signed:s ~width:(i + f + 1) ~int_bits:(i + 1)
 
 let sub a b =
   let _, i, f = align_params a b in
-  { signed = true; width = i + f + 1; int_bits = i + 1; is_bool = false }
+  result ~signed:true ~width:(i + f + 1) ~int_bits:(i + 1)
 
-let mul a b =
-  {
-    signed = a.signed || b.signed;
-    width = a.width + b.width;
-    int_bits = a.int_bits + b.int_bits;
-    is_bool = false;
-  }
+let mul a b = result ~signed:(a.signed || b.signed) ~width:(a.width + b.width) ~int_bits:(a.int_bits + b.int_bits)
 
 (* Mirrors Ap_int.promote: the common width of integer operands. *)
 let promote_width a b =
@@ -45,12 +43,14 @@ let promote_width a b =
   let extra v = if s && not v.signed then 1 else 0 in
   (s, max (a.width + extra a) (b.width + extra b))
 
-let is_integer t = t.width = t.int_bits
+(* Value.div's rule (the Vitis one): a declared ap_[u]fixed operand
+   divides as fixed point even when it has no fraction bits. *)
+let is_integer t = t.width = t.int_bits && not t.fixed
 
 let div a b =
   if is_integer a && is_integer b then begin
     let s, w = promote_width a b in
-    { signed = s; width = w; int_bits = w; is_bool = false }
+    result ~signed:s ~width:w ~int_bits:w
   end
   else begin
     (* Mirrors Ap_fixed.div. *)
@@ -60,24 +60,22 @@ let div a b =
     let fr = fa - fb + shift in
     let ir = a.int_bits + fb + 1 in
     let wr = max 1 (ir + fr) in
-    { signed = s; width = wr; int_bits = ir; is_bool = false }
+    result ~signed:s ~width:wr ~int_bits:ir
   end
 
 let rem a b =
   let s, w = promote_width a b in
-  { signed = s; width = w; int_bits = w; is_bool = false }
+  result ~signed:s ~width:w ~int_bits:w
 
 let bitwise a b =
   let s, w = promote_width a b in
-  { signed = s; width = w; int_bits = w; is_bool = false }
+  result ~signed:s ~width:w ~int_bits:w
 
 let shift a = a
 
-let compare_result = { signed = false; width = 1; int_bits = 1; is_bool = true }
-
-let lognot_result a = { a with is_bool = false }
-
-let neg a = { signed = true; width = a.width + 1; int_bits = a.int_bits + 1; is_bool = false }
+let compare_result = of_dtype Dtype.Bool
+let lognot_result a = result ~signed:a.signed ~width:a.width ~int_bits:a.int_bits
+let neg a = result ~signed:true ~width:(a.width + 1) ~int_bits:(a.int_bits + 1)
 
 type env = string -> Dtype.t
 

@@ -6,7 +6,12 @@
     of every intermediate — the property test in the suite checks this
     module against the interpreter on random expressions. *)
 
-type t = { signed : bool; width : int; int_bits : int; is_bool : bool }
+type t = { signed : bool; width : int; int_bits : int; is_bool : bool; fixed : bool }
+(** [fixed] marks a declared [ap_[u]fixed] type: {!Value} keeps such a
+    dtype as declared even with no fraction bits ([ap_ufixed<8,8>]) and
+    divides it as fixed point, so {!to_dtype} and {!div} honour it.
+    Computed results are canonical ([fixed = false]): an integer type
+    exactly when they have no fraction bits. *)
 
 val of_dtype : Dtype.t -> t
 val to_dtype : t -> Dtype.t

@@ -116,7 +116,7 @@ let bin_kernel (op : Expr.binop) da db =
       let ir = a.int_bits + fb + 1 in
       let wr = max 1 (ir + fa - fb + shift) in
       let wwork = max wr (a.width + shift + 1) in
-      let r = Aptype.to_dtype { Aptype.signed = s; width = wr; int_bits = ir; is_bool = false } in
+      let r = Aptype.to_dtype (Aptype.div a b) in
       if both && wwork <= Value.narrow_bits then begin
         let work = if s then Dtype.SInt wwork else Dtype.UInt wwork in
         Some

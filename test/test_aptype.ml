@@ -13,6 +13,10 @@ let dtypes =
     Dtype.SFixed { width = 32; int_bits = 17 };
     Dtype.UFixed { width = 16; int_bits = 4 };
     Dtype.SFixed { width = 64; int_bits = 40 };
+    (* Fixed types with no fraction bits: Value keeps them as declared
+       and divides them as fixed point. *)
+    Dtype.UFixed { width = 8; int_bits = 8 };
+    Dtype.SFixed { width = 16; int_bits = 16 };
   |]
 
 let value_for dt seed =
@@ -53,7 +57,8 @@ let test_static_matches_dynamic_binops () =
               (Dtype.to_string dynamic) (Dtype.to_string static)
           in
           List.iter try_op ops_all;
-          if Dtype.is_integer da && Dtype.is_integer db then List.iter try_op ops_int;
+          if Dtype.is_integer da && Dtype.is_integer db then List.iter try_op ops_int
+          else if da <> Dtype.Bool && db <> Dtype.Bool then try_op Expr.Div;
           List.iter try_op ops_cmp)
         dtypes)
     dtypes
