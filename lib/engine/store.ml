@@ -3,7 +3,9 @@ module T = Pld_telemetry.Telemetry
 
 exception Store_error of string
 
-let version = 1
+(* 2: wide values hold their raw pattern ([Value.W]) and -O0 call sites
+   carry dtypes; both are marshalled inside entries. *)
+let version = 2
 let magic = "PLD-ARTIFACT"
 let suffix = ".art"
 let lock_name = "store.lock"

@@ -68,6 +68,44 @@ let vars t =
   go t;
   List.rev !out
 
+type env = string -> Dtype.t
+
+let rec infer env e : Dtype.t =
+  match e with
+  | Const v -> Value.dtype v
+  | Var v -> env v
+  | Idx (a, i) ->
+      ignore (infer env i);
+      env a
+  | Bin (op, x, y) -> begin
+      let tx = infer env x and ty = infer env y in
+      match op with
+      | Add -> Aptype.add tx ty
+      | Sub -> Aptype.sub tx ty
+      | Mul -> Aptype.mul tx ty
+      | Div -> Aptype.div tx ty
+      | Rem -> Aptype.rem tx ty
+      | And | Or | Xor -> Aptype.bitwise tx ty
+      | Shl | Shr -> tx
+      | Eq | Ne | Lt | Le | Gt | Ge | LAnd | LOr -> Bool
+    end
+  | Un (Neg, x) -> Aptype.neg (infer env x)
+  | Un (BNot, x) -> Aptype.lognot (infer env x)
+  | Un (LNot, x) ->
+      ignore (infer env x);
+      Bool
+  | Cast (dt, x) | Bitcast (dt, x) ->
+      ignore (infer env x);
+      dt
+  | Select (c, x, y) ->
+      ignore (infer env c);
+      let tx = infer env x and ty = infer env y in
+      if not (Dtype.equal tx ty) then
+        invalid_arg
+          (Printf.sprintf "Expr.infer: select arms have different types (%s vs %s)" (Dtype.to_string tx)
+             (Dtype.to_string ty));
+      tx
+
 let binop_name = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Rem -> "%"
   | And -> "&" | Or -> "|" | Xor -> "^"

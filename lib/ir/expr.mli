@@ -45,6 +45,16 @@ val ( lxor ) : t -> t -> t
 val vars : t -> string list
 (** Free variable and array names, deduplicated, in first-use order. *)
 
+type env = string -> Dtype.t
+(** Variable (or array-element) dtype lookup; loop variables are
+    [SInt 32]. *)
+
+val infer : env -> t -> Dtype.t
+(** The static type of an expression, by {!Aptype}'s rule: exactly the
+    dtype its value has when evaluated. Raises [Invalid_argument] on
+    select arms of different types, and whatever [env] raises on an
+    unknown name. *)
+
 val pp : Format.formatter -> t -> unit
 (** C-like rendering. *)
 

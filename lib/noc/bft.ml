@@ -664,10 +664,15 @@ let link_traffic t =
   done;
   !out
 
-let run_until_idle ?(max_cycles = 1_000_000) (t : t) =
+(* Far above any drain the pinned replays and the noc-sweep reach (at
+   most 3,764 cycles): a network still busy after a million cycles is
+   not draining. *)
+let idle_bound = 1_000_000
+
+let run_until_idle (t : t) =
   let start = t.cycles in
   while t.in_flight > 0 do
-    if t.cycles - start > max_cycles then
-      raise (Undelivered (Printf.sprintf "Bft.run_until_idle: %d flits still in flight after %d cycles" t.in_flight max_cycles));
+    if t.cycles - start > idle_bound then
+      raise (Undelivered (Printf.sprintf "Bft.run_until_idle: %d flits still in flight after %d cycles" t.in_flight idle_bound));
     step t
   done

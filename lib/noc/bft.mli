@@ -186,7 +186,7 @@ val link_traffic : t -> (int * int) list
     carried at least one flit only — the raw per-link utilization the
     replay harness publishes as gauges. *)
 
-val run_until_idle : ?max_cycles:int -> t -> unit
+val run_until_idle : t -> unit
 (** Step until no flits are in flight (injection queues drained by the
-    caller beforehand). Raises {!Undelivered} past [max_cycles]. Lost
-    flits are not in flight — check {!take_lost} afterwards. *)
+    caller beforehand). Raises {!Undelivered} after a million cycles.
+    Lost flits are not in flight — check {!take_lost} afterwards. *)

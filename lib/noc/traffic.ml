@@ -31,7 +31,15 @@ let configure_links net links =
 (* The overlay NoC clock: modeled spans convert cycles to seconds. *)
 let overlay_hz = 200.0e6
 
-let replay ?(max_cycles = 10_000_000) net links =
+(* Cycles without a delivery after which [replay] gives up. The pinned
+   replays, lossy ones (5% drop, 5% corruption) included, and the
+   noc-sweep schedules never go more than 8 cycles without a delivery,
+   and the longest noc-sweep drain is 3,764 cycles for a whole
+   schedule: links that deliver nothing for 100k cycles lose flits
+   faster than retransmission recovers them. *)
+let stall_cycles = 100_000
+
+let replay net links =
   let tele = Bft.telemetry net in
   Telemetry.with_span tele ~cat:"noc"
     ~attrs:[ ("links", string_of_int (List.length links)) ]
@@ -57,14 +65,14 @@ let replay ?(max_cycles = 10_000_000) net links =
   let retx = Array.init leaves (fun _ -> Ring.create ()) in
   let backlog = ref 0 (* flits waiting in [retx] *) in
   let retransmitted = ref 0 in
-  let cycles = ref 0 in
+  let cycles = ref 0 and last_delivery = ref 0 in
   let remaining = ref (total_tokens links) in
   while !remaining > 0 do
-    if !cycles > max_cycles then
+    if !cycles - !last_delivery >= stall_cycles then
       raise
         (Bft.Undelivered
-           (Printf.sprintf "Traffic.replay: %d of %d tokens undelivered after %d cycles" !remaining
-              (total_tokens links) max_cycles));
+           (Printf.sprintf "Traffic.replay: %d of %d tokens undelivered, none delivered in %d cycles" !remaining
+              (total_tokens links) stall_cycles));
     incr cycles;
     let lost = ref (Bft.pop_lost net) in
     while !lost >= 0 do
@@ -98,7 +106,11 @@ let replay ?(max_cycles = 10_000_000) net links =
       next.(leaf) <- (r + 1) mod k
     done;
     Bft.step net;
-    remaining := !remaining - Bft.discard_ejected net
+    let delivered = Bft.discard_ejected net in
+    if delivered > 0 then begin
+      remaining := !remaining - delivered;
+      last_delivery := !cycles
+    end
   done;
   let fin = Bft.stats net in
   let delivered = fin.Bft.delivered - start.Bft.delivered in

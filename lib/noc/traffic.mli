@@ -42,10 +42,16 @@ val active : link -> bool
 val configure_links : Bft.t -> link list -> unit
 (** Program every source leaf's routing registers. *)
 
-val replay : ?max_cycles:int -> Bft.t -> link list -> result
+val stall_cycles : int
+(** 100,000: the cycles without a delivery after which {!replay} gives
+    up. *)
+
+val replay : Bft.t -> link list -> result
 (** Configure every link, then inject the {!active} links' tokens
     round-robin per leaf until all are delivered (retransmitting
-    casualties). Raises {!Bft.Undelivered} past [max_cycles]. *)
+    casualties). Raises {!Bft.Undelivered} when {!stall_cycles} cycles
+    pass with no token delivered: the links lose flits faster than
+    retransmission recovers them. *)
 
 val config_cycles : ?max_rounds:int -> Bft.t -> link list -> int
 (** Cycles to deliver the configuration packets themselves through the
