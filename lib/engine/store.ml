@@ -3,9 +3,9 @@ module T = Pld_telemetry.Telemetry
 
 exception Store_error of string
 
-(* 2: wide values hold their raw pattern ([Value.W]) and -O0 call sites
-   carry dtypes; both are marshalled inside entries. *)
-let version = 2
+(* 3: the payload digest is MD5, and store.index is a snapshot followed
+   by an append-only journal. *)
+let version = 3
 let magic = "PLD-ARTIFACT"
 let suffix = ".art"
 let lock_name = "store.lock"
@@ -34,12 +34,22 @@ type t = {
   keep_evidence : bool;  (** invalid entries move to store.quarantine/ instead of unlink *)
   mutable clock : int;
   index : (string, idx_entry) Hashtbl.t;  (** entry filename -> stamp/size *)
+  mutable total : int;  (** sum of [index] bytes *)
+  lru : string Pld_util.Pqueue.t;
+      (** (stamp, name) pushed on every stamp change while a budget is
+          set; a pair whose stamp the index no longer holds is stale *)
+  mutable j_gen : int;  (** compaction generation the handle has applied *)
+  mutable j_ino : int;  (** inode of the journal it has applied; -1: none valid *)
+  mutable j_off : int;  (** bytes of it applied, always just past a newline *)
+  mutable snapshot_rows : int;
+  mutable rows : int;  (** records in the journal file, snapshot included *)
+  pending : Buffer.t;  (** records of the current operation, appended at its end *)
   counters : (string * kind_counters) list ref;  (** per kind, first-use order *)
 }
 
 let dir t = t.root
-let max_bytes t = t.budget
 let quarantine_dir t = Filename.concat t.root quarantine_name
+let index_path t = Filename.concat t.root index_name
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
@@ -57,66 +67,6 @@ let check_names ~kind ~key =
   then invalid_arg (Printf.sprintf "Store: bad kind %S (lowercase/digits/_ only)" kind);
   if not (Digest.is_hex key) then invalid_arg (Printf.sprintf "Store: bad key %S" key)
 
-(* Header line: "PLD-ARTIFACT v<version> <kind> <key> <payload-digest> <payload-bytes>\n"
-   followed by the marshalled payload. *)
-let header ~kind ~key ~payload =
-  Printf.sprintf "%s v%d %s %s %s %d\n" magic version kind key (Digest.of_string payload)
-    (String.length payload)
-
-(* A header is one short line; a file whose first [max_header] bytes
-   hold no newline is not an entry. *)
-let max_header = 256
-
-(* Reads and checks the header of the entry open on [ic] against the
-   name it was found under: [Some (payload_digest, payload_bytes)] iff
-   magic, version, kind and key match and the file holds exactly the
-   declared payload after the header line. Consumes the header line
-   only: no payload byte leaves the channel, and the only I/O is the
-   channel's first buffer fill. *)
-let read_header ic ~kind ~key =
-  let line = Buffer.create 96 in
-  let rec next_line () =
-    if Buffer.length line >= max_header then None
-    else
-      match input_char ic with
-      | '\n' -> Some (Buffer.contents line)
-      | c ->
-          Buffer.add_char line c;
-          next_line ()
-      | exception End_of_file -> None
-  in
-  match Option.map (String.split_on_char ' ') (next_line ()) with
-  | Some [ m; v; k; d; payload_digest; len ] -> (
-      match int_of_string_opt len with
-      | Some n
-        when m = magic
-             && v = "v" ^ string_of_int version
-             && k = kind && Digest.equal d key
-             && in_channel_length ic - pos_in ic = n ->
-          Some (payload_digest, n)
-      | _ -> None)
-  | _ -> None
-
-let with_entry path f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-
-(* The header check [open_] runs on every entry. *)
-let header_valid path ~kind ~key = with_entry path (fun ic -> read_header ic ~kind ~key <> None)
-
-(* The payload if and only if the header checks out and the payload
-   matches its digest, so a flipped bit anywhere is caught. *)
-let read_valid path ~kind ~key =
-  with_entry path (fun ic ->
-      match read_header ic ~kind ~key with
-      | Some (payload_digest, n) ->
-          (match really_input_string ic n with
-          | payload when Digest.equal (Digest.of_string payload) payload_digest -> Some payload
-          | _ | (exception End_of_file) -> None)
-      | None -> None)
-
-let remove_file path = try Sys.remove path with Sys_error _ -> ()
-
 (* Parse an entry filename back into (kind, key); None for foreign files. *)
 let parse_name name =
   if not (Filename.check_suffix name suffix) then None
@@ -129,7 +79,23 @@ let parse_name name =
         if kind <> "" && Digest.is_hex key then Some (kind, key) else None
     | None -> None
 
-(* ---------- per-kind counters & telemetry ---------- *)
+let remove_file path = try Sys.remove path with Sys_error _ -> ()
+
+let with_fd path flags f =
+  let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+(* Fills [buf] from [off] with up to [len] bytes of [fd]; fewer only at
+   end of file. *)
+let rec read_into fd buf off len =
+  if len = 0 then 0
+  else
+    match Unix.read fd buf off len with
+    | 0 -> 0
+    | n -> n + read_into fd buf (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_into fd buf off len
+
+(* ---------- telemetry ---------- *)
 
 let counters_for t kind =
   match List.assoc_opt kind !(t.counters) with
@@ -157,87 +123,303 @@ let bump t kind which =
   in
   T.incr (T.counter t.telemetry (Printf.sprintf "store.%s.%s" kind name))
 
-let total_bytes t = Hashtbl.fold (fun _ e acc -> acc + e.bytes) t.index 0
+(* Bytes moved by the store itself, index and entries apart. *)
+let count_io t which n =
+  let name =
+    match which with
+    | `Index_read -> "store.io.index_read_bytes"
+    | `Index_written -> "store.io.index_written_bytes"
+    | `Entry_read -> "store.io.entry_read_bytes"
+    | `Entry_written -> "store.io.entry_written_bytes"
+  in
+  if n > 0 then T.incr ~by:n (T.counter t.telemetry name)
 
 let publish_gauges t =
-  T.set_gauge (T.gauge t.telemetry "store.bytes") (float_of_int (total_bytes t));
+  T.set_gauge (T.gauge t.telemetry "store.bytes") (float_of_int t.total);
   T.set_gauge (T.gauge t.telemetry "store.entries") (float_of_int (Hashtbl.length t.index))
 
-(* ---------- access-time index ---------- *)
+(* ---------- entries ---------- *)
 
-(* "PLD-INDEX v1 <clock>" then one "<name> <stamp> <bytes>" per entry.
-   Always written atomically (unique temp + rename), so a concurrent
-   reader sees either the old or the new index, never a torn one. A
-   missing or unparseable index is an empty one — the entries
-   themselves are the ground truth; the index only orders them. *)
-let load_index_file root =
-  let path = Filename.concat root index_name in
-  match open_in_bin path with
-  | exception Sys_error _ -> (0, [])
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> (0, [])
-          | first -> (
-              match String.split_on_char ' ' first with
-              | [ m; v; clk ]
-                when m = index_magic && v = "v" ^ string_of_int version ->
-                  let clock = Option.value ~default:0 (int_of_string_opt clk) in
-                  let entries = ref [] in
-                  (try
-                     while true do
-                       match String.split_on_char ' ' (input_line ic) with
-                       | [ name; stamp; bytes ] -> (
-                           match (int_of_string_opt stamp, int_of_string_opt bytes) with
-                           | Some s, Some b -> entries := (name, s, b) :: !entries
-                           | _ -> ())
-                       | _ -> ()
-                     done
-                   with End_of_file -> ());
-                  (clock, List.rev !entries)
-              | _ -> (0, [])))
+(* Header line: "PLD-ARTIFACT v<version> <kind> <key> <payload-md5> <payload-bytes>\n"
+   followed by the marshalled payload. The payload digest is MD5
+   ([Stdlib.Digest]); the key is the FNV build digest the caller
+   derived. *)
+let header ~kind ~key ~payload =
+  Printf.sprintf "%s v%d %s %s %s %d\n" magic version kind key
+    (Stdlib.Digest.to_hex (Stdlib.Digest.string payload))
+    (String.length payload)
 
-let save_index t =
-  let path = Filename.concat t.root index_name in
+(* A header is one short line; a file whose first [max_header] bytes
+   hold no newline is not an entry. *)
+let max_header = 256
+
+type head = {
+  size : int;  (** file bytes, by [fstat] *)
+  payload_digest : string;
+  payload_bytes : int;
+  first : Bytes.t;  (** the bytes read so far ... *)
+  start : int;  (** ... of which the payload starts here *)
+}
+
+(* Checks the header of the entry open on [fd] against the name it was
+   found under, with one read of at most [max_header] bytes: [Some]
+   iff magic, version, kind and key match and the file holds exactly
+   the declared payload after the header line. *)
+let read_header t fd ~kind ~key =
+  let size = (Unix.fstat fd).Unix.st_size in
+  let first = Bytes.create (min size max_header) in
+  let got = read_into fd first 0 (Bytes.length first) in
+  count_io t `Entry_read got;
+  match Bytes.index_opt first '\n' with
+  | Some nl when nl < got -> (
+      match String.split_on_char ' ' (Bytes.sub_string first 0 nl) with
+      | [ m; v; k; d; payload_digest; len ] -> (
+          match int_of_string_opt len with
+          | Some n
+            when m = magic
+                 && v = "v" ^ string_of_int version
+                 && k = kind && Digest.equal d key
+                 && size - (nl + 1) = n ->
+              Some { size; payload_digest; payload_bytes = n; first = Bytes.sub first 0 got; start = nl + 1 }
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
+(* The header check [open_] runs on every entry: the file size if the
+   header is valid. *)
+let header_valid t path ~kind ~key =
+  with_fd path [ Unix.O_RDONLY ] (fun fd ->
+      Option.map (fun h -> h.size) (read_header t fd ~kind ~key))
+
+(* The payload and the file size if and only if the header checks out
+   and the payload matches its digest, so a flipped bit anywhere is
+   caught. *)
+let read_valid t path ~kind ~key =
+  with_fd path [ Unix.O_RDONLY ] (fun fd ->
+      match read_header t fd ~kind ~key with
+      | None -> None
+      | Some h ->
+          let payload = Bytes.create h.payload_bytes in
+          let have = Bytes.length h.first - h.start in
+          Bytes.blit h.first h.start payload 0 have;
+          let rest = read_into fd payload have (h.payload_bytes - have) in
+          count_io t `Entry_read rest;
+          if
+            have + rest = h.payload_bytes
+            && String.equal (Stdlib.Digest.to_hex (Stdlib.Digest.bytes payload)) h.payload_digest
+          then Some (payload, h.size)
+          else None)
+
+(* ---------- the in-memory index ----------
+
+   Every change goes through [set_entry]/[remove_entry], which keep the
+   byte total and the LRU heap in step with the table. *)
+
+let lru_push t stamp name =
+  if t.budget <> None then begin
+    (* Stale pairs pile up as entries are touched; rebuild from the
+       table once they outnumber the live ones. *)
+    if Pld_util.Pqueue.size t.lru > (2 * Hashtbl.length t.index) + 64 then begin
+      Pld_util.Pqueue.clear t.lru;
+      Hashtbl.iter (fun n e -> Pld_util.Pqueue.push t.lru (float_of_int e.stamp) n) t.index
+    end;
+    Pld_util.Pqueue.push t.lru (float_of_int stamp) name
+  end
+
+(* Stamps merge by max, so records applied in any order agree. *)
+let set_entry t name ~stamp ~bytes =
+  t.clock <- max t.clock stamp;
+  match Hashtbl.find_opt t.index name with
+  | Some e ->
+      t.total <- t.total - e.bytes + bytes;
+      e.bytes <- bytes;
+      if stamp > e.stamp then begin
+        e.stamp <- stamp;
+        lru_push t stamp name
+      end
+  | None ->
+      t.total <- t.total + bytes;
+      Hashtbl.replace t.index name { stamp; bytes };
+      lru_push t stamp name
+
+let remove_entry t name =
+  match Hashtbl.find_opt t.index name with
+  | Some e ->
+      t.total <- t.total - e.bytes;
+      Hashtbl.remove t.index name
+  | None -> ()
+
+let reset_index t =
+  Hashtbl.reset t.index;
+  t.total <- 0;
+  Pld_util.Pqueue.clear t.lru
+
+(* ---------- the access journal ----------
+
+   store.index is a header line "PLD-INDEX v<version> <clock> <rows>",
+   a snapshot of [rows] records, then records appended one operation
+   at a time:
+
+     "+ <name> <stamp> <bytes>"   the entry is live with this stamp
+     "- <name>"                   the entry is gone
+
+   Appends happen under the fcntl lock with O_APPEND, so records never
+   interleave. A record counts only once its newline is on disk: a
+   torn last line (a writer killed mid-append, a half line written by
+   hand) is never applied, and the next holder of the lock truncates it
+   away so it cannot merge with the record appended after it. A missing
+   or unparseable index is an empty one — the entries themselves are
+   the ground truth; the index only orders them. *)
+
+let apply_record t line =
+  match String.split_on_char ' ' line with
+  | [ "+"; name; stamp; bytes ] -> (
+      match (int_of_string_opt stamp, int_of_string_opt bytes) with
+      | Some stamp, Some bytes when parse_name name <> None -> set_entry t name ~stamp ~bytes
+      | _ -> ())
+  | [ "-"; name ] -> remove_entry t name
+  | _ -> ()
+
+(* Applies the complete lines of [chunk], the journal bytes from the
+   handle's offset on, and advances the offset past them. Bytes after
+   the last newline are a torn record: truncated, never applied. *)
+let apply_chunk t chunk =
+  let complete = match String.rindex_opt chunk '\n' with Some i -> i + 1 | None -> 0 in
+  let rec go pos =
+    if pos < complete then begin
+      let nl = String.index_from chunk pos '\n' in
+      apply_record t (String.sub chunk pos (nl - pos));
+      t.rows <- t.rows + 1;
+      go (nl + 1)
+    end
+  in
+  go 0;
+  t.j_off <- t.j_off + complete;
+  if complete < String.length chunk then
+    try Unix.truncate (index_path t) t.j_off with Unix.Unix_error _ -> t.j_ino <- -1
+
+let read_journal t fd ~off ~len =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let buf = Bytes.create len in
+  let got = read_into fd buf 0 len in
+  count_io t `Index_read got;
+  Bytes.sub_string buf 0 got
+
+(* Rereads the whole journal into a fresh index; a missing file or a
+   bad header leaves the index as it is and marks the journal for
+   rewriting ([j_ino = -1]). *)
+let reload t ~gen =
+  t.j_ino <- -1;
+  match with_fd (index_path t) [ Unix.O_RDONLY ] (fun fd ->
+            let st = Unix.fstat fd in
+            (st.Unix.st_ino, read_journal t fd ~off:0 ~len:st.Unix.st_size)) with
+  | exception Unix.Unix_error _ -> ()
+  | ino, data -> (
+      let nl = Option.value ~default:(String.length data) (String.index_opt data '\n') in
+      match String.split_on_char ' ' (String.sub data 0 nl) with
+      | [ m; v; clock; rows ] when m = index_magic && v = "v" ^ string_of_int version -> (
+          match (int_of_string_opt clock, int_of_string_opt rows) with
+          | Some clock, Some rows when nl < String.length data ->
+              reset_index t;
+              t.clock <- max t.clock clock;
+              t.j_gen <- gen;
+              t.j_ino <- ino;
+              t.j_off <- nl + 1;
+              t.snapshot_rows <- rows;
+              t.rows <- 0;
+              apply_chunk t (String.sub data (nl + 1) (String.length data - nl - 1))
+          | _ -> ())
+      | _ -> ())
+
+(* Brings the index up to date with the journal: one [fstat] and one
+   [stat] when nothing changed, otherwise a read of only the bytes past
+   the handle's offset. Compaction swaps in a new file whose inode the
+   file system may have handed out before, so the inode alone cannot
+   show a swap; each compaction also grows store.lock by one byte, and
+   a handle that sees a new size there rereads the journal whole. *)
+let catch_up t =
+  let gen = (Unix.fstat t.lock_fd).Unix.st_size in
+  match Unix.stat (index_path t) with
+  | st when gen = t.j_gen && st.Unix.st_ino = t.j_ino && st.Unix.st_size >= t.j_off -> (
+      if st.Unix.st_size > t.j_off then
+        try
+          with_fd (index_path t) [ Unix.O_RDONLY ] (fun fd ->
+              apply_chunk t (read_journal t fd ~off:t.j_off ~len:(st.Unix.st_size - t.j_off)))
+        with Unix.Unix_error _ -> t.j_ino <- -1)
+  | _ -> reload t ~gen
+  | exception Unix.Unix_error _ -> t.j_ino <- -1
+
+let record t name e = Printf.bprintf t.pending "+ %s %d %d\n" name e.stamp e.bytes
+
+(* Rewrites store.index as a snapshot of the handle's index (unique
+   temp file + rename, so a concurrent reader sees the old or the new
+   file, never a torn one) and bumps the compaction generation. *)
+let compact t =
+  let path = index_path t in
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s v%d %d\n" index_magic version t.clock);
-  Hashtbl.iter
-    (fun name e -> Buffer.add_string buf (Printf.sprintf "%s %d %d\n" name e.stamp e.bytes))
-    t.index;
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (Buffer.contents buf))
-   with Sys_error e -> raise (Store_error e));
-  try Sys.rename tmp path with Sys_error e -> remove_file tmp; raise (Store_error e)
+  Buffer.clear t.pending;
+  Printf.bprintf t.pending "%s v%d %d %d\n" index_magic version t.clock (Hashtbl.length t.index);
+  Hashtbl.iter (record t) t.index;
+  let data = Buffer.contents t.pending in
+  Buffer.clear t.pending;
+  match
+    let ino =
+      with_fd tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
+          ignore (Unix.write_substring fd data 0 (String.length data));
+          (Unix.fstat fd).Unix.st_ino)
+    in
+    (* The generation moves first: a handle that sees the new file
+       then also sees the new generation. *)
+    let gen = (Unix.fstat t.lock_fd).Unix.st_size + 1 in
+    Unix.ftruncate t.lock_fd gen;
+    Unix.rename tmp path;
+    (ino, gen)
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+      remove_file tmp;
+      raise (Store_error (Printf.sprintf "cannot write %s: %s" path (Unix.error_message e)))
+  | ino, gen ->
+      count_io t `Index_written (String.length data);
+      t.j_gen <- gen;
+      t.j_ino <- ino;
+      t.j_off <- String.length data;
+      t.snapshot_rows <- Hashtbl.length t.index;
+      t.rows <- t.snapshot_rows
 
-(* Merge the on-disk index into memory (another process may have bumped
-   stamps or added entries since we last looked). Stamps merge by max;
-   the clock never goes backwards. Entries we know that the disk index
-   does not are kept — their files speak for themselves. *)
-let reload_index t =
-  let clock, entries = load_index_file t.root in
-  t.clock <- max t.clock clock;
-  List.iter
-    (fun (name, stamp, bytes) ->
-      match Hashtbl.find_opt t.index name with
-      | Some e ->
-          e.stamp <- max e.stamp stamp;
-          if bytes > 0 then e.bytes <- bytes
-      | None -> Hashtbl.replace t.index name { stamp; bytes })
-    entries;
-  t.clock <- Hashtbl.fold (fun _ e acc -> max acc e.stamp) t.index t.clock
+(* Appends the operation's records in one write, or rewrites the index
+   whole when there is no valid journal to append to. *)
+let flush t =
+  if t.j_ino < 0 then compact t
+  else if Buffer.length t.pending > 0 then begin
+    let data = Buffer.contents t.pending in
+    Buffer.clear t.pending;
+    (try
+       with_fd (index_path t) [ Unix.O_WRONLY; Unix.O_APPEND ] (fun fd ->
+           ignore (Unix.write_substring fd data 0 (String.length data)))
+     with Unix.Unix_error (e, _, _) ->
+       raise (Store_error (Printf.sprintf "cannot append to %s: %s" (index_path t) (Unix.error_message e))));
+    count_io t `Index_written (String.length data);
+    t.j_off <- t.j_off + String.length data;
+    t.rows <- t.rows + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 data
+  end
+
+(* [open_] compacts once the journal holds more than [compact_factor]
+   records per snapshot row (64 rows of slack keep a small store from
+   being rewritten on every open). Replaying the journal then costs at
+   most [1 + compact_factor] snapshot reads, the same order as the
+   header walk [open_] does anyway, and each rewrite is paid for by at
+   least [compact_factor] appends per row it writes. *)
+let compact_factor = 4
+
+let journal_outgrown t = t.rows - t.snapshot_rows > compact_factor * (t.snapshot_rows + 64)
 
 (* ---------- locking ----------
 
    Two layers: the handle mutex serializes the process's domains, then
    an fcntl record lock on store.lock serializes processes. fcntl locks
    are per-process, so the mutex must be outermost — without it two
-   domains would both "hold" the file lock. *)
+   domains would both "hold" the file lock. Every operation starts by
+   catching up with the journal and ends by appending its records. *)
 
 let rec lockf_retry fd op =
   try Unix.lockf fd op 0 with Unix.Unix_error (Unix.EINTR, _, _) -> lockf_retry fd op
@@ -252,14 +434,33 @@ let with_lock t f =
         ~finally:(fun () ->
           try Unix.lockf t.lock_fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ())
         (fun () ->
-          reload_index t;
-          f ()))
+          catch_up t;
+          match f () with
+          | v ->
+              flush t;
+              v
+          | exception e ->
+              (try flush t with Store_error _ -> ());
+              raise e))
+
+(* ---------- index changes ---------- *)
+
+let stamp t name ~bytes =
+  t.clock <- t.clock + 1;
+  set_entry t name ~stamp:t.clock ~bytes;
+  record t name (Hashtbl.find t.index name)
+
+let forget t name =
+  if Hashtbl.mem t.index name then begin
+    remove_entry t name;
+    Printf.bprintf t.pending "- %s\n" name
+  end
 
 (* ---------- eviction ---------- *)
 
 let drop_entry t name =
   remove_file (Filename.concat t.root name);
-  Hashtbl.remove t.index name;
+  forget t name;
   match parse_name name with Some (kind, _) -> bump t kind `Eviction | None -> ()
 
 (* Move a failed-validation entry aside instead of destroying it: the
@@ -281,13 +482,27 @@ let quarantine_entry t name =
       pick 1
   in
   (try Sys.rename src dst with Sys_error _ -> remove_file src);
-  Hashtbl.remove t.index name;
+  forget t name;
   T.incr (T.counter t.telemetry "store.quarantined")
 
 (* Invalid entries leave the live set either way; [keep_evidence]
    decides whether the bytes survive for the post-mortem. *)
 let discard_entry t name =
   if t.keep_evidence then quarantine_entry t name else drop_entry t name
+
+(* The least recently used entry other than [keep], off the LRU heap. *)
+let rec lru_victim t ~keep =
+  match Pld_util.Pqueue.pop t.lru with
+  | None -> None
+  | Some (s, name) -> (
+      match Hashtbl.find_opt t.index name with
+      | Some e when float_of_int e.stamp = s ->
+          if name <> keep then Some name
+          else
+            let v = lru_victim t ~keep in
+            Pld_util.Pqueue.push t.lru s name;
+            v
+      | _ -> lru_victim t ~keep)
 
 (* Evict least-recently-used entries until the byte total fits the
    budget. [keep] (the entry just written) is never its own victim, so
@@ -296,20 +511,10 @@ let enforce_budget t ~keep =
   match t.budget with
   | None -> ()
   | Some budget ->
-      let victim () =
-        Hashtbl.fold
-          (fun name e acc ->
-            if name = keep then acc
-            else
-              match acc with
-              | Some (_, best) when best.stamp <= e.stamp -> acc
-              | _ -> Some (name, e))
-          t.index None
-      in
       let rec go () =
-        if total_bytes t > budget then
-          match victim () with
-          | Some (name, _) ->
+        if t.total > budget then
+          match lru_victim t ~keep with
+          | Some name ->
               drop_entry t name;
               go ()
           | None -> ()
@@ -323,11 +528,12 @@ let readdir t = Array.to_list (try Sys.readdir t.root with Sys_error _ -> [||])
 (* The one pass over the directory, run under the lock by [open_] and
    [scrub]: orphaned temp files from a crash mid-serialize go, and
    every [.art] file is checked — a malformed name fails outright, a
-   well-named entry fails when [valid] rejects it or cannot be read.
-   Failures go to [fail]; survivors the index never saw (e.g. the index
-   was lost) are adopted as oldest, so LRU pressure reaches them first;
-   index rows with no surviving entry are dropped. Returns the number
-   of [.art] files scanned and of those that failed. *)
+   well-named entry fails when [valid] (which returns the file size)
+   rejects it or cannot be read. Failures go to [fail]; survivors the
+   journal never recorded (e.g. a writer died between its rename and
+   its append) are adopted at stamp 0, so LRU pressure reaches them
+   first; index rows with no surviving entry are dropped. Returns the
+   number of [.art] files scanned and of those that failed. *)
 let walk t ~valid ~fail =
   let live = Hashtbl.create 64 in
   let scanned = ref 0 and failed = ref 0 in
@@ -337,24 +543,25 @@ let walk t ~valid ~fail =
       if Filename.check_suffix name ".tmp" then remove_file path
       else if Filename.check_suffix name suffix then begin
         incr scanned;
-        let ok =
+        let size =
           match parse_name name with
-          | Some (kind, key) -> ( try valid path ~kind ~key with Sys_error _ -> false)
-          | None -> false
+          | Some (kind, key) -> ( try valid t path ~kind ~key with Unix.Unix_error _ -> None)
+          | None -> None
         in
-        if ok then begin
-          Hashtbl.replace live name ();
-          if not (Hashtbl.mem t.index name) then
-            Hashtbl.replace t.index name
-              { stamp = 0; bytes = (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0) }
-        end
-        else begin
-          incr failed;
-          fail t name
-        end
+        match size with
+        | Some bytes ->
+            Hashtbl.replace live name ();
+            if not (Hashtbl.mem t.index name) then begin
+              set_entry t name ~stamp:0 ~bytes;
+              record t name (Hashtbl.find t.index name)
+            end
+        | None ->
+            incr failed;
+            fail t name
       end)
     (readdir t);
-  Hashtbl.filter_map_inplace (fun name e -> if Hashtbl.mem live name then Some e else None) t.index;
+  let gone = Hashtbl.fold (fun name _ acc -> if Hashtbl.mem live name then acc else name :: acc) t.index [] in
+  List.iter (forget t) gone;
   (!scanned, !failed)
 
 (* ---------- open ---------- *)
@@ -379,46 +586,45 @@ let open_ ?max_bytes ?(quarantine = false) ?(telemetry = T.default) ~dir () =
       keep_evidence = quarantine;
       clock = 0;
       index = Hashtbl.create 64;
+      total = 0;
+      lru = Pld_util.Pqueue.create ();
+      j_gen = -1;
+      j_ino = -1;
+      j_off = 0;
+      snapshot_rows = 0;
+      rows = 0;
+      pending = Buffer.create 256;
       counters = ref [];
     }
   in
   with_lock t (fun () ->
       ignore (walk t ~valid:header_valid ~fail:discard_entry);
       enforce_budget t ~keep:"";
-      save_index t;
+      if journal_outgrown t then compact t;
       publish_gauges t);
   t
 
 (* ---------- operations ---------- *)
 
-let touch t name =
-  match Hashtbl.find_opt t.index name with
-  | Some e ->
-      t.clock <- t.clock + 1;
-      e.stamp <- t.clock
-  | None -> ()
-
 let find (type a) t ~kind ~key : a option =
   check_names ~kind ~key;
   with_lock t (fun () ->
       let name = kind ^ "-" ^ key ^ suffix in
-      match read_valid (entry_path t.root ~kind ~key) ~kind ~key with
-      | exception Sys_error _ ->
+      match read_valid t (entry_path t.root ~kind ~key) ~kind ~key with
+      | exception Unix.Unix_error _ ->
           (* No entry file (or an unreadable one): a plain miss. *)
-          Hashtbl.remove t.index name;
+          forget t name;
           bump t kind `Miss;
           None
-      | payload -> (
-          match Option.map (fun p -> (Marshal.from_string p 0 : a)) payload with
-          | Some v ->
+      | valid -> (
+          match Option.map (fun (p, bytes) -> ((Marshal.from_bytes p 0 : a), bytes)) valid with
+          | Some (v, bytes) ->
               bump t kind `Hit;
-              touch t name;
-              save_index t;
+              stamp t name ~bytes;
               Some v
           | None | (exception _) ->
               (* Failed validation: evict, then miss. *)
               discard_entry t name;
-              save_index t;
               publish_gauges t;
               bump t kind `Miss;
               None))
@@ -426,6 +632,7 @@ let find (type a) t ~kind ~key : a option =
 let put t ~kind ~key v =
   check_names ~kind ~key;
   let payload = Marshal.to_string v [] in
+  let head = header ~kind ~key ~payload in
   with_lock t (fun () ->
       let name = kind ^ "-" ^ key ^ suffix in
       let path = entry_path t.root ~kind ~key in
@@ -438,17 +645,15 @@ let put t ~kind ~key v =
          Fun.protect
            ~finally:(fun () -> close_out_noerr oc)
            (fun () ->
-             output_string oc (header ~kind ~key ~payload);
+             output_string oc head;
              output_string oc payload)
        with Sys_error e -> raise (Store_error e));
       (try Sys.rename tmp path with Sys_error e -> remove_file tmp; raise (Store_error e));
-      let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-      Hashtbl.remove t.index name;
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.index name { stamp = t.clock; bytes };
+      let bytes = String.length head + String.length payload in
+      count_io t `Entry_written bytes;
+      stamp t name ~bytes;
       bump t kind `Put;
       enforce_budget t ~keep:name;
-      save_index t;
       publish_gauges t)
 
 let entries t =
@@ -473,10 +678,10 @@ type scrub_report = {
 let scrub t =
   with_lock t (fun () ->
       let scanned, failed =
-        walk t ~valid:(fun path ~kind ~key -> read_valid path ~kind ~key <> None)
+        walk t
+          ~valid:(fun t path ~kind ~key -> Option.map snd (read_valid t path ~kind ~key))
           ~fail:quarantine_entry
       in
-      save_index t;
       publish_gauges t;
       {
         sc_scanned = scanned;
@@ -488,12 +693,6 @@ let scrub t =
 let render_scrub r =
   Printf.sprintf "scrub: %d scanned, %d ok, %d quarantined%s" r.sc_scanned r.sc_ok r.sc_quarantined
     (if r.sc_quarantined > 0 then " -> " ^ r.sc_quarantine_dir else "")
-
-let clear t =
-  with_lock t (fun () ->
-      List.iter (fun name -> if parse_name name <> None then drop_entry t name) (readdir t);
-      save_index t;
-      publish_gauges t)
 
 (* ---------- statistics ---------- *)
 
@@ -546,11 +745,7 @@ let stats t =
         }
       in
       let kinds = List.map kind_row (kinds_in_counters @ List.sort compare kinds_only_on_disk) in
-      {
-        s_entries = Hashtbl.length t.index;
-        s_bytes = total_bytes t;
-        s_kinds = kinds;
-      })
+      { s_entries = Hashtbl.length t.index; s_bytes = t.total; s_kinds = kinds })
 
 let render_stats s =
   let row k =

@@ -10,15 +10,18 @@
     can never be confused with a softcore image, whatever the key) and
     [key] is the content digest of the inputs that produced it. Next to
     the entries live two bookkeeping files: [store.lock], the
-    inter-process lock, and [store.index], the persisted access-time
-    index driving LRU eviction.
+    inter-process lock, and [store.index], the access journal driving
+    LRU eviction: a snapshot of every entry's stamp and size followed by
+    one appended line per touch, put and eviction.
 
     Entries are never trusted: every file carries a versioned header
-    with the payload's own digest, and anything that fails validation —
-    wrong magic, older store version, truncation, digest mismatch — is
-    evicted (deleted) and treated as a miss. Each check happens in one
-    place: {!open_} reads headers only, {!find} digests the payload it
-    is about to deserialize, and {!scrub} is the one full audit.
+    with the payload's own digest (MD5; the key is the caller's FNV
+    build digest), and anything that fails validation — wrong magic,
+    older store version, truncation, digest mismatch — is evicted
+    (deleted) and treated as a miss. Each check happens in one place:
+    {!open_} reads headers only (at most {!max_header} bytes of each
+    entry), {!find} digests the payload it is about to deserialize, and
+    {!scrub} is the one full audit.
 
     {b Concurrency.} All operations are safe from multiple domains of
     one process (a mutex per handle) {e and} from multiple processes
@@ -26,13 +29,17 @@
     for the duration of each operation). Entry writes are atomic
     (unique temp file + rename), so a reader never observes a partial
     entry; orphaned temp files left by a crash mid-serialize are swept
-    on the next {!open_}. Within one process, share a single handle per
-    directory — two handles in the same process fall back to atomic
-    renames only (POSIX record locks do not exclude the owning
-    process), which keeps entries intact but can lose index updates.
+    on the next {!open_}. Journal lines are appended under the lock, and
+    each handle applies only the lines added since its last operation,
+    so an operation's index I/O does not grow with the store. A torn
+    last line (a writer killed mid-append) is ignored and cut off.
+    Within one process, share a single handle per directory — two
+    handles in the same process fall back to atomic renames only (POSIX
+    record locks do not exclude the owning process), which keeps
+    entries intact but can lose index updates.
 
     {b Eviction.} With [max_bytes] set, every write re-checks the
-    budget and evicts least-recently-used entries (by the persisted
+    budget and evicts least-recently-used entries (by the journalled
     access stamps, so LRU order survives across processes and restarts)
     until the file-byte total fits. The entry just written is never its
     own victim. *)
@@ -57,7 +64,8 @@ val open_ :
     orphaned [*.tmp] files and every entry whose header fails — wrong
     magic, other version, kind or key not matching the filename, file
     size not matching the declared payload length — and loads the
-    access-time index. Open reads no payload byte: a payload bit-flip
+    access journal, compacting it into a fresh snapshot once it has
+    outgrown the last one. Open reads no payload byte: a payload bit-flip
     survives it, and the {!find} that digests the payload (or a
     {!scrub}) takes the entry out of the live store. [max_bytes]
     (default: unbounded) is the LRU size budget over payload bytes.
@@ -67,12 +75,16 @@ val open_ :
     for post-mortem while the live store sees a clean miss. [telemetry]
     (default {!Pld_telemetry.Telemetry.default}) receives the per-kind
     hit/miss/eviction/put counters ([store.<kind>.hits], ...), the
-    [store.quarantined] counter and the [store.bytes] /
-    [store.entries] gauges. *)
+    [store.quarantined] counter, the byte counters
+    [store.io.index_read_bytes], [store.io.index_written_bytes],
+    [store.io.entry_read_bytes] and [store.io.entry_written_bytes], and
+    the [store.bytes] / [store.entries] gauges. *)
 
 val dir : t -> string
 
-val max_bytes : t -> int option
+val max_header : int
+(** The most bytes {!open_} reads of any one entry: its header line
+    must fit in them. *)
 
 val quarantine_dir : t -> string
 (** Where quarantined entries land ([<dir>/store.quarantine]). The
@@ -98,14 +110,10 @@ val count : t -> int
 (** Number of entry files with well-formed names currently on disk —
     their contents are not checked. *)
 
-val clear : t -> unit
-(** Removes every entry (but keeps the directory and bookkeeping
-    files). *)
-
 (** {2 Scrub}
 
     The recovery half of crash tolerance: writes are atomic, but a
-    SIGKILL between the rename and the index update — or bit rot, or a
+    SIGKILL between the rename and the journal append — or bit rot, or a
     truncating filesystem — can leave entries whose header no longer
     matches their payload. A scrub re-validates every entry on demand
     and quarantines the failures, so the worst a torn write can do is

@@ -123,16 +123,6 @@ let test_store_foreign_art_swept () =
   ignore (Store.open_ ~dir ());
   check_bool "malformed name swept" false (Sys.file_exists bogus)
 
-let test_store_clear () =
-  let dir = fresh_dir "clear" in
-  let t = Store.open_ ~dir () in
-  Store.put t ~kind:"page" ~key:(Digest.of_string "a") 1;
-  Store.put t ~kind:"mono" ~key:(Digest.of_string "b") 2;
-  check_int "two entries" 2 (Store.count t);
-  Store.clear t;
-  check_int "cleared" 0 (Store.count t);
-  check_bool "directory kept" true (Sys.is_directory dir)
-
 let test_store_bad_names_rejected () =
   let dir = fresh_dir "names" in
   let t = Store.open_ ~dir () in
@@ -462,6 +452,176 @@ let test_store_quarantine_mode_preserves_evidence () =
   check_int "entry moved into quarantine" 1
     (Array.length (Sys.readdir (Store.quarantine_dir t)))
 
+(* ---------- store: the access journal ---------- *)
+
+let index_file dir = Filename.concat dir "store.index"
+let index_size dir = (Unix.stat (index_file dir)).Unix.st_size
+
+let append_raw path s =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc s)
+
+let io tele name = Telemetry.counter_value tele ("store.io." ^ name)
+
+(* Index bytes one operation reads and writes. *)
+let index_io tele f =
+  let r0 = io tele "index_read_bytes" and w0 = io tele "index_written_bytes" in
+  f ();
+  (io tele "index_read_bytes" - r0, io tele "index_written_bytes" - w0)
+
+let test_store_op_cost_independent_of_size () =
+  (* The same history at both sizes — 1000 puts, cycling over [n] keys
+     — so the stamps the measured records carry have the same digits;
+     only the number of entries differs. *)
+  let costs n =
+    let tele = Telemetry.create () in
+    let t = Store.open_ ~dir:(fresh_dir (Printf.sprintf "opcost%d" n)) ~telemetry:tele () in
+    for i = 0 to 999 do
+      Store.put t ~kind:"page" ~key:(k (i mod n)) "payload"
+    done;
+    check_int "entries" n (Store.count t);
+    let hit = index_io tele (fun () -> check_bool "hit" true (present t (k 0))) in
+    let put = index_io tele (fun () -> Store.put t ~kind:"page" ~key:(k n) "payload") in
+    (hit, put)
+  in
+  let (hit_r, hit_w), (put_r, put_w) = costs 10 in
+  let (hit_r', hit_w'), (put_r', put_w') = costs 1000 in
+  check_int "a hit reads no index bytes" 0 hit_r;
+  check_bool "a hit appends one short record" true (hit_w > 0 && hit_w < 80);
+  check_int "find hit: index bytes read, 10 vs 1000 entries" hit_r hit_r';
+  check_int "find hit: index bytes written, 10 vs 1000 entries" hit_w hit_w';
+  check_int "put: index bytes read, 10 vs 1000 entries" put_r put_r';
+  check_int "put: index bytes written, 10 vs 1000 entries" put_w put_w'
+
+let test_store_open_reads_headers_only () =
+  let entries = 5 in
+  let open_cost payload_bytes =
+    let dir = fresh_dir (Printf.sprintf "opencost%d" payload_bytes) in
+    let t = Store.open_ ~dir () in
+    for i = 0 to entries - 1 do
+      Store.put t ~kind:"page" ~key:(k i) (String.make payload_bytes 'o')
+    done;
+    let tele = Telemetry.create () in
+    ignore (Store.open_ ~dir ~telemetry:tele ());
+    io tele "entry_read_bytes"
+  in
+  let small = open_cost 1024 and large = open_cost (200 * 1024) in
+  check_bool "1 KB payloads: at most max_header bytes per entry" true
+    (small > 0 && small <= entries * Store.max_header);
+  check_int "200 KB payloads read the same bytes as 1 KB ones" small large
+
+let test_store_torn_journal_line_ignored () =
+  let dir = fresh_dir "torn" in
+  let payload = String.make 200 'j' in
+  let e = entry_bytes payload in
+  let t = Store.open_ ~dir () in
+  List.iter (fun i -> Store.put t ~kind:"page" ~key:(k i) payload) [ 1; 2; 3 ];
+  (* A half-written record that would make k1 the newest entry if it
+     were applied: no newline, so it never counts. *)
+  append_raw (index_file dir) (Printf.sprintf "+ page-%s.art 99 2" (k 1));
+  let t = Store.open_ ~dir ~max_bytes:((3 * e) + (e / 2)) () in
+  Store.put t ~kind:"page" ~key:(k 4) payload;
+  check_bool "the torn stamp did not save k1" false
+    (Sys.file_exists (entry_file dir ~kind:"page" ~key:(k 1)));
+  (* k4's record, the first after the torn line, must start on a line
+     of its own: a fresh handle sees k4 as the newest entry. *)
+  let t2 = Store.open_ ~dir ~max_bytes:((2 * e) + (e / 2)) () in
+  check_int "two survivors" 2 (Store.count t2);
+  check_bool "the record after the torn line counts" true (present t2 (k 4));
+  check_bool "k3 kept" true (present t2 (k 3));
+  check_bool "k2 evicted" false (present t2 (k 2))
+
+let test_store_unjournalled_entry_adopted () =
+  (* k2's file was renamed into place, but its journal record never
+     landed (the writer died between the two). *)
+  let setup name =
+    let dir = fresh_dir name in
+    let payload = String.make 200 'u' in
+    let t = Store.open_ ~dir () in
+    Store.put t ~kind:"page" ~key:(k 1) payload;
+    let before = index_size dir in
+    Store.put t ~kind:"page" ~key:(k 2) payload;
+    Unix.truncate (index_file dir) before;
+    (dir, entry_bytes payload)
+  in
+  let dir, _ = setup "adopt" in
+  let t = Store.open_ ~dir () in
+  check_int "both entries live" 2 (Store.count t);
+  Alcotest.(check (option string)) "find serves the adopted entry" (Some (String.make 200 'u'))
+    (Store.find t ~kind:"page" ~key:(k 2));
+  let dir, e = setup "adoptstamp" in
+  let t = Store.open_ ~dir ~max_bytes:(e + (e / 2)) () in
+  check_bool "adopted at stamp 0: first LRU victim" false (present t (k 2));
+  check_bool "journalled entry kept" true (present t (k 1))
+
+let test_store_lru_across_processes () =
+  let dir = fresh_dir "lruproc" in
+  let payload = String.make 200 'x' in
+  let t = Store.open_ ~dir () in
+  Store.put t ~kind:"page" ~key:(k 1) payload;
+  Store.put t ~kind:"page" ~key:(k 2) payload;
+  (* Another process refreshes k1 through its own handle. *)
+  (match Unix.fork () with
+  | 0 -> Unix._exit (if present (Store.open_ ~dir ()) (k 1) then 0 else 1)
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "child could not refresh k1"));
+  let e = entry_bytes payload in
+  let t2 = Store.open_ ~dir ~max_bytes:(e + (e / 2)) () in
+  check_int "one survivor" 1 (Store.count t2);
+  check_bool "the other process's refresh survives" true (present t2 (k 1));
+  check_bool "k2 evicted" false (present t2 (k 2));
+  ignore t
+
+let test_store_killed_mid_append () =
+  (* SIGKILL a child whose finds and puts append to the journal; the
+     store must reopen, read back every entry, and take new records. *)
+  let dir = fresh_deep_dir "sigappend" in
+  ignore (Store.open_ ~dir ());
+  let payload i = Printf.sprintf "%08d" i ^ String.make 256 'a' in
+  let key i = Digest.of_string (Printf.sprintf "append%d" i) in
+  let r, w = Unix.pipe () in
+  (match Unix.fork () with
+  | 0 ->
+      Unix.close r;
+      let t = Store.open_ ~dir () in
+      for i = 0 to 3 do
+        Store.put t ~kind:"page" ~key:(key i) (payload i)
+      done;
+      ignore (Unix.write w (Bytes.of_string "!") 0 1);
+      let i = ref 4 in
+      while true do
+        ignore (Store.find t ~kind:"page" ~key:(key (!i mod 4)) : string option);
+        if !i mod 8 = 0 then Store.put t ~kind:"page" ~key:(key !i) (payload !i);
+        incr i
+      done;
+      Unix._exit 0
+  | pid ->
+      Unix.close w;
+      ignore (Unix.read r (Bytes.create 1) 0 1);
+      Unix.close r;
+      Unix.sleepf 0.02;
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid));
+  let t = Store.open_ ~dir ~quarantine:true () in
+  let index = In_channel.with_open_bin (index_file dir) In_channel.input_all in
+  check_bool "journal ends on a whole line" true (index.[String.length index - 1] = '\n');
+  let live = Store.entries t in
+  check_bool "child's entries survive" true (List.length live >= 4);
+  List.iter
+    (fun (_, key) ->
+      match (Store.find t ~kind:"page" ~key : string option) with
+      | Some v -> check_int "entry reads back" (String.length (payload 0)) (String.length v)
+      | None -> Alcotest.fail "entry did not read back")
+    live;
+  check_int "scrub finds nothing torn" 0 (Store.scrub t).Store.sc_quarantined;
+  check_bool "refresh k0" true (present t (key 0));
+  let e = entry_bytes (payload 0) in
+  let t2 = Store.open_ ~dir ~max_bytes:(e + (e / 2)) () in
+  check_bool "the record after the kill counts" true (present t2 (key 0));
+  check_int "one survivor" 1 (Store.count t2)
+
 (* ---------- job graphs ---------- *)
 
 let const_node id v = Jobgraph.node ~id ~kind:"t" (fun _ -> v)
@@ -782,7 +942,6 @@ let suite =
     ("store: truncated entry evicted", `Quick, test_store_truncation_evicted);
     ("store: stale version swept on open", `Quick, test_store_stale_version_swept);
     ("store: malformed filename swept", `Quick, test_store_foreign_art_swept);
-    ("store: clear", `Quick, test_store_clear);
     ("store: bad kind/key rejected", `Quick, test_store_bad_names_rejected);
     ("store: orphaned temp files swept on open", `Quick, test_store_tmp_swept_on_open);
     ("store: LRU eviction at a tight budget", `Quick, test_store_lru_eviction);
@@ -794,6 +953,14 @@ let suite =
        whole binary: OCaml 5 forbids Unix.fork once any domain was
        ever created (see lib/service/chaos.mli, forked_names). *)
     ("store: SIGKILL mid-insert leaves no torn entry", `Slow, test_store_killed_mid_insert);
+    ("store: SIGKILL mid-append: journal still opens", `Slow, test_store_killed_mid_append);
+    ("store: LRU refresh in another process survives reopen", `Slow, test_store_lru_across_processes);
+    ("store: torn journal line is ignored", `Quick, test_store_torn_journal_line_ignored);
+    ("store: unjournalled entry adopted at stamp 0", `Quick, test_store_unjournalled_entry_adopted);
+    ("store: find and put index I/O independent of entry count", `Quick,
+     test_store_op_cost_independent_of_size);
+    ("store: open reads at most max_header bytes per entry", `Quick,
+     test_store_open_reads_headers_only);
     ("store: scrub quarantines exactly the damage", `Quick, test_store_scrub_quarantines_exact_damage);
     ("store: quarantine mode preserves evidence", `Quick, test_store_quarantine_mode_preserves_evidence);
     ("store: open checks headers, find checks payloads", `Quick,
