@@ -136,33 +136,25 @@ let serve socket cache_dir max_bytes scrub_on_start queue_workers jobs workers p
     | None -> None
     | Some s -> Some { Service.default_shed_policy with Service.sp_max_delay_s = s }
   in
-  (* Open the store ourselves (in quarantine mode, so the header check
-     at open and every failed find keep corruption evidence) so
-     --scrub-on-start can run the full payload audit before the first
-     request is admitted. *)
-  let cache =
-    match cache_dir with
-    | None -> None
-    | Some dir -> (
-        try
-          let c = B.create_cache ~dir ?max_bytes ~quarantine:true () in
-          (match B.cache_store c with
-          | Some st when scrub_on_start ->
-              print_endline ("pldd: " ^ Store.render_scrub (Store.scrub st))
-          | _ -> ());
-          Some c
-        with Store.Store_error msg -> die (Printf.sprintf "bad --cache-dir: %s" msg))
+  (* The store opens in quarantine mode, so the header check at open
+     and every failed find keep corruption evidence; --scrub-on-start
+     runs the full payload audit before the first request is
+     admitted. *)
+  let svc =
+    try
+      Service.create ?cache_dir ?max_bytes ~quarantine:true ~queue_workers ~jobs ~workers ~pace
+        ~seed ~default_quota:quota ?shed ?watchdog_timeout_s:watchdog_timeout ?faults ~logger ()
+    with Store.Store_error msg -> die (Printf.sprintf "bad --cache-dir: %s" msg)
   in
+  (match B.cache_store (Service.cache svc) with
+  | Some st when scrub_on_start -> print_endline ("pldd: " ^ Store.render_scrub (Store.scrub st))
+  | _ -> ());
   (* Armed after flag validation so a usage error cannot trip a dump;
      from here on, any Error-level event (a watchdog kill, a fatal
      serve failure) writes the last-N-events + metrics flight file. *)
   (match flight_out with
-  | Some file -> Log.arm_flight logger ~telemetry:T.default ~file ()
+  | Some file -> Log.arm_flight logger ~telemetry:T.default ~file
   | None -> ());
-  let svc =
-    Service.create ?cache ~queue_workers ~jobs ~workers ~pace ~seed ~default_quota:quota ?shed
-      ?watchdog_timeout_s:watchdog_timeout ?faults ~logger ()
-  in
   let on_listen () =
     Printf.printf "pldd: listening on %s (%d queue workers%s)\n%!" socket (max 1 queue_workers)
       (match cache_dir with Some d -> ", store " ^ d | None -> ", in-memory cache")

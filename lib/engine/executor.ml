@@ -6,7 +6,6 @@ type 'a result = {
   wall_seconds : float;
 }
 
-exception Job_timeout of string
 exception Deadline_passed
 
 (* What every node of one run records into. *)
@@ -64,11 +63,8 @@ let pace_off ~pace ~model ~elapsed =
   end
 
 (* Runs one node against completed results, returning its artifact and
-   recording its span (failures are recorded and re-raised).
-   [job_timeout] bounds the job's wall-clock (pacing included): a job
-   that ran past it counts as failed — modeling a tool invocation
-   killed by the build supervisor — and its artifact is discarded. *)
-let run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node =
+   recording its span (failures are recorded and re-raised). *)
+let run_node ~rec_ ~pace ~worker ~fetch node =
   let id = Jobgraph.id node and kind = Jobgraph.kind node in
   check_deadline rec_;
   (* The whole job body runs inside one exception-safe telemetry span
@@ -83,13 +79,6 @@ let run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node =
       | v ->
           let model = Jobgraph.model node v in
           pace_off ~pace ~model ~elapsed:(Unix.gettimeofday () -. t0);
-          let wall = Unix.gettimeofday () -. t0 in
-          (match job_timeout with
-          | Some limit when wall > limit ->
-              let error = Printf.sprintf "job %s exceeded timeout (%.3fs > %.3fs)" id wall limit in
-              job_failed rec_ ~job:id ~kind ~worker error;
-              raise (Job_timeout error)
-          | _ -> ());
           job_finished rec_ ~job:id ~kind (Jobgraph.phases node v);
           v
       | exception e ->
@@ -101,9 +90,9 @@ let is_deadline = function Deadline_passed -> true | _ -> false
 
 (* Retry a flaky job up to [max_retries] extra attempts before giving
    it up for good. *)
-let run_node_retrying ~rec_ ~pace ~job_timeout ~max_retries ~worker ~fetch node =
+let run_node_retrying ~rec_ ~pace ~max_retries ~worker ~fetch node =
   let rec attempt k =
-    match run_node ~rec_ ~pace ~job_timeout ~worker ~fetch node with
+    match run_node ~rec_ ~pace ~worker ~fetch node with
     | v -> Ok (v, k)
     | exception e ->
         if k < max_retries && not (is_deadline e) then begin
@@ -143,146 +132,99 @@ let quarantine_event ~rec_ node ~attempts ~error =
       @ rec_.extra)
     "quarantined"
 
-let sequential ~rec_ ~pace ~job_timeout ~max_retries ~keep_going g =
-  let done_ = Hashtbl.create (2 * Jobgraph.size g) in
-  let quarantined = Hashtbl.create 4 in
-  List.iter
-    (fun node ->
-      match
-        List.find_opt (fun d -> Hashtbl.mem quarantined d) (Jobgraph.deps node)
-      with
-      | Some d ->
-          let error = Printf.sprintf "dependency %s quarantined" d in
-          Hashtbl.replace quarantined (Jobgraph.id node) error;
-          quarantine_event ~rec_ node ~attempts:0 ~error
-      | None -> (
-          let fetch = guard_fetch node (Hashtbl.find done_) in
-          match run_node_retrying ~rec_ ~pace ~job_timeout ~max_retries ~worker:0 ~fetch node with
-          | Ok (v, _) -> Hashtbl.replace done_ (Jobgraph.id node) v
-          | Error (e, attempts) ->
-              if keep_going && not (is_deadline e) then begin
-                let error = Printexc.to_string e in
-                Hashtbl.replace quarantined (Jobgraph.id node) error;
-                quarantine_event ~rec_ node ~attempts:(attempts + 1) ~error
-              end
-              else raise e))
-    (Jobgraph.order g);
-  (done_, quarantined)
+module Ranks = Set.Make (Int)
 
-(* Shared scheduler state, all under [lock]. *)
-type 'a pool = {
-  lock : Mutex.t;
-  wakeup : Condition.t;
-  ready : 'a Jobgraph.node Queue.t;
-  waiting : (string, int) Hashtbl.t;  (** unfinished dependency count per blocked node *)
-  results : (string, 'a) Hashtbl.t;
-  quarantined : (string, string) Hashtbl.t;
-  mutable failure : exn option;
-  mutable unfinished : int;
-}
-
-let parallel ~rec_ ~pace ~job_timeout ~max_retries ~keep_going ~workers g =
-  let by_id = Hashtbl.create (2 * Jobgraph.size g) in
-  List.iter (fun n -> Hashtbl.replace by_id (Jobgraph.id n) n) (Jobgraph.nodes g);
-  let p =
-    {
-      lock = Mutex.create ();
-      wakeup = Condition.create ();
-      ready = Queue.create ();
-      waiting = Hashtbl.create (2 * Jobgraph.size g);
-      results = Hashtbl.create (2 * Jobgraph.size g);
-      quarantined = Hashtbl.create 4;
-      failure = None;
-      unfinished = Jobgraph.size g;
-    }
-  in
-  List.iter
-    (fun node ->
-      let n = List.length (Jobgraph.deps node) in
-      if n = 0 then Queue.push node p.ready else Hashtbl.replace p.waiting (Jobgraph.id node) n)
-    (Jobgraph.order g);
-  let locked f =
-    Mutex.lock p.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) f
-  in
-  (* Quarantine a node and, transitively, every dependent still waiting
-     on it (they can never become ready). Caller holds the lock. *)
-  let rec quarantine node ~attempts ~error =
+(* Nodes are known by their rank in {!Jobgraph.order}; a free worker
+   takes the lowest ready rank, so a single worker runs the graph
+   exactly in that order. The calling domain is worker 0. All mutable
+   state below is under [lock]. *)
+let schedule ~rec_ ~pace ~max_retries ~keep_going ~workers g =
+  let by_rank = Array.of_list (Jobgraph.order g) in
+  let n = Array.length by_rank in
+  let rank = Hashtbl.create (2 * n) in
+  Array.iteri (fun r node -> Hashtbl.replace rank (Jobgraph.id node) r) by_rank;
+  let lock = Mutex.create () and wakeup = Condition.create () in
+  (* Unfinished dependencies per node: a node is ready at zero, and a
+     node behind a failed one never gets there. *)
+  let left = Array.map (fun node -> List.length (Jobgraph.deps node)) by_rank in
+  let ready = ref (Ranks.of_seq (Seq.filter (fun r -> left.(r) = 0) (Seq.init n Fun.id))) in
+  let results = Hashtbl.create (2 * n) and quarantined = Hashtbl.create 4 in
+  let failure = ref None and unfinished = ref n in
+  let locked f = Mutex.protect lock f in
+  (* Quarantine a node and, transitively, every dependent (none of
+     them can ever become ready). Caller holds the lock. *)
+  let rec quarantine r ~attempts ~error =
+    let node = by_rank.(r) in
     let id = Jobgraph.id node in
-    if not (Hashtbl.mem p.quarantined id) then begin
-      Hashtbl.replace p.quarantined id error;
+    if not (Hashtbl.mem quarantined id) then begin
+      Hashtbl.replace quarantined id error;
       quarantine_event ~rec_ node ~attempts ~error;
-      p.unfinished <- p.unfinished - 1;
+      decr unfinished;
       List.iter
         (fun d ->
-          if Hashtbl.mem p.waiting d then begin
-            Hashtbl.remove p.waiting d;
-            quarantine (Hashtbl.find by_id d) ~attempts:0
-              ~error:(Printf.sprintf "dependency %s quarantined" id)
-          end)
+          quarantine (Hashtbl.find rank d) ~attempts:0
+            ~error:(Printf.sprintf "dependency %s quarantined" id))
         (Jobgraph.dependents g id)
     end
   in
-  let finish node outcome =
+  let finish r outcome =
     locked (fun () ->
         (match outcome with
         | Ok v ->
-            Hashtbl.replace p.results (Jobgraph.id node) v;
-            p.unfinished <- p.unfinished - 1;
+            let id = Jobgraph.id by_rank.(r) in
+            Hashtbl.replace results id v;
+            decr unfinished;
             List.iter
               (fun d ->
-                match Hashtbl.find_opt p.waiting d with
-                | None -> ()  (* already quarantined via another dependency *)
-                | Some left ->
-                    if left - 1 = 0 then begin
-                      Hashtbl.remove p.waiting d;
-                      Queue.push (Hashtbl.find by_id d) p.ready
-                    end
-                    else Hashtbl.replace p.waiting d (left - 1))
-              (Jobgraph.dependents g (Jobgraph.id node))
+                let d = Hashtbl.find rank d in
+                left.(d) <- left.(d) - 1;
+                if left.(d) = 0 then ready := Ranks.add d !ready)
+              (Jobgraph.dependents g id)
         | Error (e, attempts) ->
             if keep_going && not (is_deadline e) then
-              quarantine node ~attempts ~error:(Printexc.to_string e)
+              quarantine r ~attempts ~error:(Printexc.to_string e)
             else begin
-              (match p.failure with None -> p.failure <- Some e | Some _ -> ());
-              p.unfinished <- p.unfinished - 1
+              if Option.is_none !failure then failure := Some e;
+              decr unfinished
             end);
-        Condition.broadcast p.wakeup)
+        Condition.broadcast wakeup)
   in
   let worker wid () =
     let rec loop () =
       let job =
         locked (fun () ->
             let rec take () =
-              if p.failure <> None || p.unfinished = 0 then None
+              if Option.is_some !failure || !unfinished = 0 then None
               else
-                match Queue.take_opt p.ready with
-                | Some node -> Some node
+                match Ranks.min_elt_opt !ready with
+                | Some r ->
+                    ready := Ranks.remove r !ready;
+                    Some r
                 | None ->
-                    Condition.wait p.wakeup p.lock;
+                    Condition.wait wakeup lock;
                     take ()
             in
             take ())
       in
       match job with
       | None -> ()
-      | Some node ->
-          let fetch = guard_fetch node (fun id -> locked (fun () -> Hashtbl.find p.results id)) in
-          (match run_node_retrying ~rec_ ~pace ~job_timeout ~max_retries ~worker:wid ~fetch node with
-          | Ok (v, _) -> finish node (Ok v)
-          | Error (e, attempts) -> finish node (Error (e, attempts + 1)));
+      | Some r ->
+          let node = by_rank.(r) in
+          let fetch = guard_fetch node (fun id -> locked (fun () -> Hashtbl.find results id)) in
+          (match run_node_retrying ~rec_ ~pace ~max_retries ~worker:wid ~fetch node with
+          | Ok (v, _) -> finish r (Ok v)
+          | Error (e, attempts) -> finish r (Error (e, attempts + 1)));
           loop ()
     in
     loop ()
   in
-  let n_workers = max 1 (min workers (Jobgraph.size g)) in
-  let domains = List.init (n_workers - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  let domains = List.init (max 1 (min workers n) - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   worker 0 ();
   List.iter Domain.join domains;
-  (match p.failure with Some e -> raise e | None -> ());
-  (p.results, p.quarantined)
+  Option.iter raise !failure;
+  (results, quarantined)
 
-let run ?(workers = 1) ?(pace = 0.0) ?job_timeout ?(max_retries = 0) ?(keep_going = false)
+let run ?(workers = 1) ?(pace = 0.0) ?(max_retries = 0) ?(keep_going = false)
     ?deadline ?(telemetry = Telemetry.default) ?(attrs = []) g =
   let rec_ =
     {
@@ -304,9 +246,7 @@ let run ?(workers = 1) ?(pace = 0.0) ?job_timeout ?(max_retries = 0) ?(keep_goin
          ]
         @ attrs)
       "graph"
-      (fun () ->
-        if workers <= 1 then sequential ~rec_ ~pace ~job_timeout ~max_retries ~keep_going g
-        else parallel ~rec_ ~pace ~job_timeout ~max_retries ~keep_going ~workers g)
+      (fun () -> schedule ~rec_ ~pace ~max_retries ~keep_going ~workers g)
   in
   let wall = Unix.gettimeofday () -. t0 in
   check_deadline rec_;

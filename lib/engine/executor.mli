@@ -3,11 +3,13 @@
     Runs the ready frontier of a {!Jobgraph.t} on a pool of OCaml 5
     domains (bounded by [workers]) and measures real wall-clock — the
     number the paper's Fig. 9 cluster model ({!Makespan.lpt}) only
-    predicts. With [workers = 1] no domain is spawned and nodes run
-    sequentially on the calling domain in {!Jobgraph.order}; parallel
-    and sequential runs produce identical artifacts (jobs must be
-    deterministic, which seeded P&R is), differing only in wall-clock
-    fields and span interleaving.
+    predicts. The calling domain is always worker 0 and [workers - 1]
+    more domains are spawned, so [workers = 1] spawns none. A free
+    worker takes the ready node that comes first in {!Jobgraph.order},
+    so one worker runs the graph exactly in that order. Every worker
+    count produces identical artifacts (jobs must be deterministic,
+    which seeded P&R is), differing only in wall-clock fields and span
+    interleaving.
 
     [pace] throttles each job to [pace *. model] wall seconds (sleeping
     off whatever its real compute did not use). The simulator's real
@@ -33,17 +35,12 @@ type 'a result = {
   wall_seconds : float;  (** measured, whole graph *)
 }
 
-exception Job_timeout of string
-(** A job exceeded [job_timeout] wall seconds — the supervisor killed
-    the (modeled) tool run. Subject to retry like any other failure. *)
-
 exception Deadline_passed
 (** The run crossed a tool-phase boundary after its [deadline]. *)
 
 val run :
   ?workers:int ->
   ?pace:float ->
-  ?job_timeout:float ->
   ?max_retries:int ->
   ?keep_going:bool ->
   ?deadline:float ->
@@ -80,13 +77,12 @@ val run :
     reading a shared sink can select one run's spans and rebuild the
     job DAG without re-running the build (see [Pld_insight]).
 
-    [job_timeout] (wall seconds, pacing included) fails jobs that run
-    past it. [max_retries] (default 0) re-runs a failed job that many
-    extra times, recording a ["retry"] instant each. [keep_going]
-    (default false) quarantines jobs whose retries are exhausted
-    instead of aborting: the failure is recorded (a ["quarantined"]
-    instant), dependents are skipped, and the run returns normally
-    with the survivors.
+    [max_retries] (default 0) re-runs a failed job that many extra
+    times, recording a ["retry"] instant each. [keep_going] (default
+    false) quarantines jobs whose retries are exhausted instead of
+    aborting: the failure is recorded (a ["quarantined"] instant),
+    dependents are skipped, and the run returns normally with the
+    survivors.
 
     Without [keep_going]: if a job ultimately fails, no new jobs start,
     in-flight jobs finish, and the original exception is re-raised on

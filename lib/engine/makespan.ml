@@ -1,17 +1,5 @@
-let lpt ~workers durations =
-  if workers < 1 then invalid_arg "Makespan.lpt: need at least one worker";
-  let loads = Array.make workers 0.0 in
-  let sorted = List.sort (fun a b -> compare b a) durations in
-  List.iter
-    (fun d ->
-      let best = ref 0 in
-      Array.iteri (fun i l -> if l < loads.(!best) then best := i) loads;
-      loads.(!best) <- loads.(!best) +. d)
-    sorted;
-  Array.fold_left Float.max 0.0 loads
-
 let lpt_critical ~workers named =
-  if workers < 1 then invalid_arg "Makespan.lpt_critical: need at least one worker";
+  if workers < 1 then invalid_arg "Makespan: need at least one worker";
   let loads = Array.make workers 0.0 in
   let jobs = Array.make workers [] in
   let sorted = List.sort (fun (_, a) (_, b) -> compare b a) named in
@@ -25,3 +13,5 @@ let lpt_critical ~workers named =
   let best = ref 0 in
   Array.iteri (fun i l -> if l > loads.(!best) then best := i) loads;
   (loads.(!best), List.rev jobs.(!best))
+
+let lpt ~workers durations = fst (lpt_critical ~workers (List.map (fun d -> ("", d)) durations))

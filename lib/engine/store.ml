@@ -27,8 +27,9 @@ type kind_counters = {
 
 type t = {
   root : string;
-  mu : Mutex.t;  (** intra-process exclusion *)
-  lock_fd : Unix.file_descr;  (** inter-process exclusion ([fcntl] on store.lock) *)
+  mu : Mutex.t;  (** intra-process exclusion, shared by the directory's handles *)
+  lock_fd : Unix.file_descr;
+      (** inter-process exclusion ([fcntl] on store.lock), shared likewise *)
   budget : int option;
   telemetry : T.t;
   keep_evidence : bool;  (** invalid entries move to store.quarantine/ instead of unlink *)
@@ -415,11 +416,36 @@ let journal_outgrown t = t.rows - t.snapshot_rows > compact_factor * (t.snapshot
 
 (* ---------- locking ----------
 
-   Two layers: the handle mutex serializes the process's domains, then
-   an fcntl record lock on store.lock serializes processes. fcntl locks
-   are per-process, so the mutex must be outermost — without it two
-   domains would both "hold" the file lock. Every operation starts by
-   catching up with the journal and ends by appending its records. *)
+   Two layers: the directory's mutex serializes the process's domains
+   and handles, then an fcntl record lock on store.lock serializes
+   processes. fcntl locks are per-process, so the mutex must be
+   outermost — without it two domains would both "hold" the file lock.
+   Every operation starts by catching up with the journal and ends by
+   appending its records. *)
+
+(* The process's one (mutex, fd) pair per store.lock inode, shared by
+   every handle on that directory, so two handles exclude each other as
+   two processes do. Closing any fd on a file drops all of the process's
+   fcntl locks on it, including one another handle holds mid-operation,
+   so these fds are never closed: a process opens each lock file once
+   (O_CLOEXEC keeps them out of exec'd children). An open fd also keeps
+   its inode allocated, so a key cannot be reused by a new file. *)
+let locks : (int * int, Mutex.t * Unix.file_descr) Hashtbl.t = Hashtbl.create 4
+let locks_mu = Mutex.create ()
+
+let shared_lock dir =
+  let path = Filename.concat dir lock_name in
+  let key (st : Unix.stats) = (st.Unix.st_dev, st.Unix.st_ino) in
+  Mutex.protect locks_mu (fun () ->
+      match Hashtbl.find_opt locks (key (Unix.stat path)) with
+      | Some l -> l
+      | None | (exception Unix.Unix_error (Unix.ENOENT, _, _)) ->
+          let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+          (* Should the path have moved between stat and open, an entry
+             may exist already: it wins, and [fd] stays open. *)
+          let k = key (Unix.fstat fd) in
+          if not (Hashtbl.mem locks k) then Hashtbl.replace locks k (Mutex.create (), fd);
+          Hashtbl.find locks k)
 
 let rec lockf_retry fd op =
   try Unix.lockf fd op 0 with Unix.Unix_error (Unix.EINTR, _, _) -> lockf_retry fd op
@@ -571,15 +597,15 @@ let open_ ?max_bytes ?(quarantine = false) ?(telemetry = T.default) ~dir () =
     raise (Store_error (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e))));
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Store_error (Printf.sprintf "cannot create %s" dir));
-  let lock_fd =
-    try Unix.openfile (Filename.concat dir lock_name) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
+  let mu, lock_fd =
+    try shared_lock dir
     with Unix.Unix_error (e, _, _) ->
       raise (Store_error (Printf.sprintf "cannot open %s/%s: %s" dir lock_name (Unix.error_message e)))
   in
   let t =
     {
       root = dir;
-      mu = Mutex.create ();
+      mu;
       lock_fd;
       budget = max_bytes;
       telemetry;

@@ -23,20 +23,20 @@
     entry), {!find} digests the payload it is about to deserialize, and
     {!scrub} is the one full audit.
 
-    {b Concurrency.} All operations are safe from multiple domains of
-    one process (a mutex per handle) {e and} from multiple processes
-    sharing one directory (an [fcntl] record lock on [store.lock] held
-    for the duration of each operation). Entry writes are atomic
-    (unique temp file + rename), so a reader never observes a partial
-    entry; orphaned temp files left by a crash mid-serialize are swept
-    on the next {!open_}. Journal lines are appended under the lock, and
-    each handle applies only the lines added since its last operation,
-    so an operation's index I/O does not grow with the store. A torn
-    last line (a writer killed mid-append) is ignored and cut off.
-    Within one process, share a single handle per directory — two
-    handles in the same process fall back to atomic renames only (POSIX
-    record locks do not exclude the owning process), which keeps
-    entries intact but can lose index updates.
+    {b Concurrency.} All operations are safe from multiple domains and
+    handles of one process (a mutex per directory) {e and} from
+    multiple processes sharing one directory (an [fcntl] record lock on
+    [store.lock] held for the duration of each operation). Entry writes
+    are atomic (unique temp file + rename), so a reader never observes
+    a partial entry; orphaned temp files left by a crash mid-serialize
+    are swept on the next {!open_}. Journal lines are appended under the
+    lock, and each handle applies only the lines added since its last
+    operation, so an operation's index I/O does not grow with the
+    store. A torn last line (a writer killed mid-append) is ignored and
+    cut off. A process opens each directory's [store.lock] once and
+    never closes it (closing any fd on it would drop the process's
+    record locks), so opening many handles on one directory costs one
+    file descriptor.
 
     {b Eviction.} With [max_bytes] set, every write re-checks the
     budget and evicts least-recently-used entries (by the journalled

@@ -85,16 +85,10 @@ let longest_path weight jobs =
   in
   (fst best, List.rev (snd best))
 
-let analyze ?(workers = 22) ?run spans =
-  let graphs = List.filter is_graph spans in
-  let pick =
-    match run with
-    | Some r -> List.find_opt (fun s -> attr "run" s = Some r) graphs
-    | None -> ( match List.rev graphs with g :: _ -> Some g | [] -> None)
-  in
-  match pick with
-  | None -> None
-  | Some graph ->
+let analyze ?(workers = 22) spans =
+  match List.rev (List.filter is_graph spans) with
+  | [] -> None
+  | graph :: _ ->
       let run = Option.get (attr "run" graph) in
       (* Job spans of this run: stamped with its id and carrying a
          dependency list. Retried jobs span once per attempt — attempts

@@ -43,10 +43,10 @@ type report = {
 val runs : Telemetry.span list -> string list
 (** Run ids with a graph span in the list, oldest first. *)
 
-val analyze : ?workers:int -> ?run:string -> Telemetry.span list -> report option
-(** Analyze one executor run out of a (possibly shared) span list:
-    [run] defaults to the latest graph span's run id; [None] when the
-    list holds no graph span (or none matching [run]). [workers]
+val analyze : ?workers:int -> Telemetry.span list -> report option
+(** Analyze the latest executor run (the one whose graph span was
+    recorded last) out of a (possibly shared) span list; [None] when
+    the list holds no graph span. [workers]
     (default 22) sizes the LPT cluster — [Build.compile]'s default, so
     [lpt_s] reproduces [report.parallel_seconds] exactly when given
     the spans of that compile. *)

@@ -139,7 +139,11 @@ let replay net links =
        else float_of_int (fin.Bft.total_latency - start.Bft.total_latency) /. float_of_int delivered);
   }
 
-let config_cycles ?(max_rounds = 1000) net links =
+(* Host retransmission rounds for lost configuration packets before
+   the link is declared dead. *)
+let max_rounds = 1000
+
+let config_cycles net links =
   let tele = Bft.telemetry net in
   Telemetry.with_span tele ~cat:"noc"
     ~attrs:[ ("packets", string_of_int (List.length links)) ]

@@ -53,9 +53,9 @@ val replay : Bft.t -> link list -> result
     pass with no token delivered: the links lose flits faster than
     retransmission recovers them. *)
 
-val config_cycles : ?max_rounds:int -> Bft.t -> link list -> int
+val config_cycles : Bft.t -> link list -> int
 (** Cycles to deliver the configuration packets themselves through the
     network from the DMA leaf (leaf 0) — the paper's "link a page in a
     few packets" cost. Lost config packets are re-sent (bounded by
-    [max_rounds] host retransmission rounds, default 1000, past which
-    it raises {!Bft.Undelivered}). *)
+    1000 host retransmission rounds, past which it raises
+    {!Bft.Undelivered}). *)

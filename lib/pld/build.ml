@@ -169,8 +169,6 @@ let put_profile c ~key doc = cache_put c c.profiles ~kind:kind_profile ~key doc
 
 (* ---------- models ---------- *)
 
-let makespan = Pld_engine.Makespan.lpt
-
 let phase_list (t : Flow.phase_times) =
   [
     ("hls", t.Flow.hls);
@@ -441,7 +439,7 @@ let compile_paged ~cache ~workers ~jobs ~pace ~seed ~deadline ~telemetry ~attrs 
         per_op_seconds = List.map (fun r -> (r.o_name, r.o_model)) ops;
         phases = phases_of_artifacts artifacts;
         serial_seconds = List.fold_left ( +. ) 0.0 durations;
-        parallel_seconds = makespan ~workers durations;
+        parallel_seconds = Pld_engine.Makespan.lpt ~workers durations;
         wall_seconds = result.Executor.wall_seconds;
         workers;
         jobs;
@@ -533,8 +531,7 @@ let compile ?cache ?(workers = 22) ?(jobs = 1) ?(pace = 0.0) ?(seed = 7) ?deadli
     ?(telemetry = Telemetry.default) ?(attrs = []) ?faults ?(max_retries = 0)
     ?(defective = []) ?previous ?(pnr_seeds = []) (fp : Fp.t) (g : Graph.t) ~level =
   Validate.check_graph_exn g;
-  ignore (makespan ~workers []);
-  (* validate [workers] eagerly *)
+  if workers < 1 then invalid_arg "Build.compile: need at least one worker";
   let cache = match cache with Some c -> c | None -> create_cache () in
   Telemetry.with_span telemetry ~cat:"build"
     ~attrs:([ ("graph", g.Graph.graph_name); ("level", level_name level) ] @ attrs)

@@ -183,6 +183,3 @@ val compile :
     many anneals on domains for cold monolithic compiles and keeps the
     best post-STA timing; also part of the cache key. *)
 
-val makespan : workers:int -> float list -> float
-(** Longest-processing-time list scheduling — the cluster model.
-    Alias of [Pld_engine.Makespan.lpt]. *)

@@ -58,7 +58,7 @@ let intrinsic_overfill ~device ~region (nl : N.t) =
    a fixed seed are a contract across commits: the RNG draw order, the
    float expression order of [delta] and the short-circuited
    [Rng.float] draw must not change. *)
-let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
+let run_core ~seed ~pins ~refine ~device ~region (nl : N.t) =
   let t_start = Unix.gettimeofday () in
   if not (fits_region device region nl) then
     invalid_arg
@@ -225,14 +225,14 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
           0.88,
           90,
           max w h,
-          max 32 (int_of_float (effort *. 8.0 *. (float_of_int ncells ** 1.33))) )
+          max 32 (int_of_float (8.0 *. (float_of_int ncells ** 1.33))) )
     | Some _ ->
         cong_weight := 8.0;
         ( max 0.5 (wl0 /. float_of_int (max 1 ncells) *. 1.5),
           0.80,
           30,
           max 2 (max w h / 4),
-          max 32 (int_of_float (effort *. 8.0 *. (float_of_int (max 1 nmov) ** 1.33))) )
+          max 32 (int_of_float (8.0 *. (float_of_int (max 1 nmov) ** 1.33))) )
   in
   let temp = ref t0_temp in
   let range = ref range0 in
@@ -360,10 +360,10 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
     seconds = Unix.gettimeofday () -. t_start;
   }
 
-let run ?(seed = 1) ?(effort = 1.0) ?(pins = []) ~device ~region nl =
-  run_core ~seed ~effort ~pins ~refine:None ~device ~region nl
+let run ?(seed = 1) ?(pins = []) ~device ~region nl =
+  run_core ~seed ~pins ~refine:None ~device ~region nl
 
-let refine ?(seed = 1) ?(effort = 1.0) ?(pins = []) ?(freeze = true) ~device ~region ~previous
+let refine ?(seed = 1) ?(pins = []) ?(freeze = true) ~device ~region ~previous
     ~diff (nl : N.t) =
   let ncells = Array.length nl.N.cells in
   let start = Array.make ncells None in
@@ -391,21 +391,4 @@ let refine ?(seed = 1) ?(effort = 1.0) ?(pins = []) ?(freeze = true) ~device ~re
       let n = nl.N.nets.(nid) in
       List.iter (fun c -> frozen.(c) <- false) (n.N.driver :: n.N.sinks))
     diff.N.nets_changed;
-  run_core ~seed ~effort ~pins ~refine:(Some (start, frozen)) ~device ~region nl
-
-let run_multi ?(effort = 1.0) ?(pins = []) ?telemetry ~seeds ~device ~region nl =
-  match seeds with
-  | [] -> invalid_arg "Place.run_multi: empty seed list"
-  | [ s ] -> [ (s, run ~seed:s ~effort ~pins ~device ~region nl) ]
-  | _ ->
-      let module J = Pld_engine.Jobgraph in
-      let module X = Pld_engine.Executor in
-      let nodes =
-        List.map
-          (fun s ->
-            J.node ~id:(Printf.sprintf "place:seed%d" s) ~kind:"place" (fun _ctx ->
-                (s, run ~seed:s ~effort ~pins ~device ~region nl)))
-          seeds
-      in
-      let r = X.run ?telemetry ~workers:(List.length seeds) (J.make nodes) in
-      List.map snd r.X.artifacts
+  run_core ~seed ~pins ~refine:(Some (start, frozen)) ~device ~region nl

@@ -27,7 +27,6 @@ val intrinsic_overfill : device:Device.t -> region:Floorplan.rect -> N.t -> floa
 
 val run :
   ?seed:int ->
-  ?effort:float ->
   ?pins:(string * (int * int)) list ->
   device:Device.t ->
   region:Floorplan.rect ->
@@ -35,12 +34,12 @@ val run :
   result
 (** [pins] fixes named cells (stream ports) at given tiles — the page
     leaf-interface location, or the shell/DMA edge for monolithic
-    compiles. [effort] scales moves per temperature (default 1.0).
-    Raises [Invalid_argument] if the netlist exceeds region capacity. *)
+    compiles. Each temperature tries [8 * cells^1.33] moves (at least
+    32). Raises [Invalid_argument] if the netlist exceeds region
+    capacity. To race several seeds, see [Pnr.implement_multi]. *)
 
 val refine :
   ?seed:int ->
-  ?effort:float ->
   ?pins:(string * (int * int)) list ->
   ?freeze:bool ->
   device:Device.t ->
@@ -60,17 +59,3 @@ val refine :
     placement is returned untouched. Raises [Invalid_argument] like
     {!run}; the caller must ensure the region is the one the previous
     placement targeted. *)
-
-val run_multi :
-  ?effort:float ->
-  ?pins:(string * (int * int)) list ->
-  ?telemetry:Pld_telemetry.Telemetry.t ->
-  seeds:int list ->
-  device:Device.t ->
-  region:Floorplan.rect ->
-  N.t ->
-  (int * result) list
-(** Races one full anneal per seed on OCaml 5 domains via the engine
-    executor (one worker per seed) and returns every result in seed
-    order — callers pick a winner (see [Pnr.implement_multi], which
-    selects on post-STA timing). Seeds must be distinct. *)

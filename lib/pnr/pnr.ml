@@ -53,9 +53,9 @@ let finish ~t0 ~netlist ~region ~place ~route ~clock_target_mhz ~delta =
     delta;
   }
 
-let implement ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = []) ~device ~region nl =
+let implement ?(seed = 1) ?(clock_target_mhz = 300.0) ?(pins = []) ~device ~region nl =
   let t0 = Unix.gettimeofday () in
-  let place = Place.run ~seed ~effort ~pins ~device ~region nl in
+  let place = Place.run ~seed ~pins ~device ~region nl in
   let route = Route.run ~seed ~device ~region ~placement:place.Place.positions nl in
   finish ~t0 ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta:None
 
@@ -64,11 +64,11 @@ let implement ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = [
    freedom. *)
 let max_change_fraction = 0.5
 
-let implement_delta ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = [])
+let implement_delta ?(seed = 1) ?(clock_target_mhz = 300.0) ?(pins = [])
     ?previous ~device ~region nl =
   let t0 = Unix.gettimeofday () in
   let scratch reason =
-    let r = implement ~seed ~effort ~clock_target_mhz ~pins ~device ~region nl in
+    let r = implement ~seed ~clock_target_mhz ~pins ~device ~region nl in
     {
       r with
       seconds = Unix.gettimeofday () -. t0;
@@ -112,11 +112,11 @@ let implement_delta ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pi
           in
           let place =
             let frozen_pass =
-              Place.refine ~seed ~effort ~pins ~device ~region ~previous:prev.placement ~diff:d nl
+              Place.refine ~seed ~pins ~device ~region ~previous:prev.placement ~diff:d nl
             in
             if acceptable frozen_pass then frozen_pass
             else
-              Place.refine ~seed ~effort ~pins ~freeze:false ~device ~region
+              Place.refine ~seed ~pins ~freeze:false ~device ~region
                 ~previous:prev.placement ~diff:d nl
           in
           if not (acceptable place) then scratch "refine-illegal"
@@ -165,59 +165,31 @@ let implement_delta ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pi
         end
       end
 
-let implement_multi ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = []) ?telemetry ~seeds
-    ~device ~region nl =
+let implement_multi ?(clock_target_mhz = 300.0) ?(pins = []) ?telemetry ~seeds ~device ~region nl =
   match seeds with
   | [] -> invalid_arg "Pnr.implement_multi: empty seed list"
-  | [ s ] -> implement ~seed:s ~effort ~clock_target_mhz ~pins ~device ~region nl
+  | [ seed ] -> implement ~seed ~clock_target_mhz ~pins ~device ~region nl
   | _ ->
-      let t0 = Unix.gettimeofday () in
       let module J = Pld_engine.Jobgraph in
       let module X = Pld_engine.Executor in
-      let nodes =
-        List.map
-          (fun s ->
-            J.node ~id:(Printf.sprintf "pnr:seed%d" s) ~kind:"pnr" (fun _ctx ->
-                let place = Place.run ~seed:s ~effort ~pins ~device ~region nl in
-                let route = Route.run ~seed:s ~device ~region ~placement:place.Place.positions nl in
-                let t_sta = Unix.gettimeofday () in
-                let timing = Sta.analyze ~clock_target_mhz nl ~net_delay_ns:route.Route.net_delay_ns in
-                (s, place, route, timing, Unix.gettimeofday () -. t_sta)))
-          seeds
+      let race =
+        X.run ?telemetry ~workers:(List.length seeds)
+          (J.make
+             (List.map
+                (fun s ->
+                  J.node ~id:(Printf.sprintf "pnr:seed%d" s) ~kind:"pnr" (fun _ctx ->
+                      (s, implement ~seed:s ~clock_target_mhz ~pins ~device ~region nl)))
+                seeds))
       in
-      let r = X.run ?telemetry ~workers:(List.length seeds) (J.make nodes) in
-      let candidates = List.map snd r.X.artifacts in
       (* Deterministic pick: legal first, then best post-STA timing,
          then lowest seed. *)
-      let score (s, (place : Place.result), (route : Route.result), (timing : Sta.result), _) =
-        let legal = place.Place.overfill = 0.0 && route.Route.overused_edges = 0 in
-        ((if legal then 0 else 1), -.timing.Sta.fmax_mhz, timing.Sta.critical_path_ns, s)
+      let score (s, r) =
+        ((if routed_ok r then 0 else 1), -.r.timing.Sta.fmax_mhz, r.timing.Sta.critical_path_ns, s)
       in
-      let best =
-        List.sort (fun a b -> compare (score a) (score b)) candidates |> List.hd
+      let _, best =
+        List.sort (fun a b -> compare (score a) (score b)) (List.map snd race.X.artifacts) |> List.hd
       in
-      let _, place, route, timing, sta_seconds = best in
-      let t_bit = Unix.gettimeofday () in
-      let bitstream =
-        Bitgen.generate ~region ~placement:place.Place.positions
-          ~routes:(Array.to_list route.Route.routes) nl
-      in
-      let t_end = Unix.gettimeofday () in
-      {
-        netlist = nl;
-        region;
-        placement = place.Place.positions;
-        place;
-        route;
-        timing;
-        bitstream;
-        place_seconds = place.Place.seconds;
-        route_seconds = route.Route.seconds;
-        sta_seconds;
-        bitgen_seconds = t_end -. t_bit;
-        seconds = t_end -. t0;
-        delta = None;
-      }
+      { best with seconds = race.X.wall_seconds }
 
 let report r =
   let delta_line =

@@ -43,7 +43,6 @@ type result = {
 
 val implement :
   ?seed:int ->
-  ?effort:float ->
   ?clock_target_mhz:float ->
   ?pins:(string * (int * int)) list ->
   device:Device.t ->
@@ -55,7 +54,6 @@ val implement :
 
 val implement_delta :
   ?seed:int ->
-  ?effort:float ->
   ?clock_target_mhz:float ->
   ?pins:(string * (int * int)) list ->
   ?previous:result ->
@@ -74,7 +72,6 @@ val implement_delta :
     result is always legal-or-equal to what {!implement} would give. *)
 
 val implement_multi :
-  ?effort:float ->
   ?clock_target_mhz:float ->
   ?pins:(string * (int * int)) list ->
   ?telemetry:Pld_telemetry.Telemetry.t ->
@@ -83,12 +80,13 @@ val implement_multi :
   region:Floorplan.rect ->
   N.t ->
   result
-(** Races one place+route+STA pipeline per seed on OCaml 5 domains via
-    the engine executor, then generates the bitstream for the winner:
-    legal results first, then highest Fmax, then lowest critical path,
-    then lowest seed — deterministic for a fixed seed list. Seeds must
-    be distinct. Used for cold -O3/Vitis compiles where wall time would
-    otherwise be one serial anneal. *)
+(** Races one {!implement} per seed on OCaml 5 domains via the engine
+    executor (one worker per seed) and keeps the winner: legal results
+    first, then highest Fmax, then lowest critical path, then lowest
+    seed — deterministic for a fixed seed list, and equal to that
+    seed's own {!implement} except that [seconds] is the race's wall
+    clock. Seeds must be distinct. Used for cold -O3/Vitis compiles
+    where wall time would otherwise be one serial anneal. *)
 
 val routed_ok : result -> bool
 (** Placement legal (no overfill) and routing has no overused wires. *)

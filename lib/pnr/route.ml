@@ -91,7 +91,10 @@ let shortest s rrg cost src dst =
   Pq.clear pq;
   path
 
-let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl : N.t) =
+(* PathFinder negotiation rounds before giving up with overuse left. *)
+let max_iterations = 14
+
+let run ?(seed = 1) ?reuse ~device ~region ~placement (nl : N.t) =
   ignore seed;
   let t0 = Unix.gettimeofday () in
   (* Incremental runs reuse the previous RRG (same device/region — the

@@ -9,7 +9,7 @@ type route = { net_id : int; edges : int list (** edge indices into the RRG *) }
 type result = {
   rrg : Rrg.t;
   routes : route array;
-  iterations : int;
+  iterations : int;  (** PathFinder rounds run, at most 14 *)
   overused_edges : int;  (** 0 = fully legal routing *)
   total_wire : int;
   seconds : float;
@@ -31,7 +31,6 @@ type reuse = {
 
 val run :
   ?seed:int ->
-  ?max_iterations:int ->
   ?reuse:reuse ->
   device:Device.t ->
   region:Floorplan.rect ->

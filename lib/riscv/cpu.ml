@@ -65,7 +65,10 @@ let mmio_in_base = 0x1000_0000
 let mmio_out_base = 0x1000_0100
 let mmio_halt = 0x1000_0200
 
-let create ?(mem_kb = 192) ?(profile = picorv32) ?(stream_read = fun _ -> None)
+(* Unified memory: the paper's maximum page memory. *)
+let mem_kb = 192
+
+let create ?(profile = picorv32) ?(stream_read = fun _ -> None)
     ?(stream_write = fun _ _ -> true) ?(on_ecall = fun _ -> 10) () =
   {
     mem = Bytes.make (mem_kb * 1024) '\000';

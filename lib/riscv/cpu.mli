@@ -55,17 +55,16 @@ val mmio_out_base : int
 val mmio_halt : int
 
 val create :
-  ?mem_kb:int ->
   ?profile:profile ->
   ?stream_read:(int -> int32 option) ->
   ?stream_write:(int -> int32 -> bool) ->
   ?on_ecall:(t -> int) ->
   unit ->
   t
-(** [mem_kb] defaults to 192 (the paper's maximum page memory);
-    [profile] to {!picorv32}. [on_ecall] performs an [ecall] and
-    returns the cycles to charge for it (scaled by the profile's
-    [ecall_scale]). *)
+(** A core with 192 KB of unified memory (the paper's maximum page
+    memory). [profile] defaults to {!picorv32}. [on_ecall] performs an
+    [ecall] and returns the cycles to charge for it (scaled by the
+    profile's [ecall_scale]). *)
 
 val load_words : t -> addr:int -> int32 array -> unit
 val read_word : t -> int -> int32

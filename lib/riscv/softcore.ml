@@ -77,9 +77,9 @@ let runtime ?(printf = fun _ -> ()) (p : Codegen.program) =
     code.(idx) cpu a0 a1 a2;
     cost.(idx)
 
-let boot ?(mem_kb = 192) ?(profile = Cpu.picorv32) ~stream_read ~stream_write ?printf (p : Codegen.program) =
+let boot ?(profile = Cpu.picorv32) ~stream_read ~stream_write ?printf (p : Codegen.program) =
   let on_ecall = runtime ?printf p in
-  let cpu = Cpu.create ~mem_kb ~profile ~stream_read ~stream_write ~on_ecall () in
+  let cpu = Cpu.create ~profile ~stream_read ~stream_write ~on_ecall () in
   Cpu.load_words cpu ~addr:0 p.Codegen.image.Asm.words;
   List.iter (fun (addr, words) -> Cpu.load_words cpu ~addr words) p.Codegen.data_init;
   cpu

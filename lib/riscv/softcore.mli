@@ -11,7 +11,6 @@ val runtime : ?printf:(string -> unit) -> Codegen.program -> Cpu.t -> int
     ({!Codegen.cost_of_site}). *)
 
 val boot :
-  ?mem_kb:int ->
   ?profile:Cpu.profile ->
   stream_read:(int -> int32 option) ->
   stream_write:(int -> int32 -> bool) ->

@@ -170,7 +170,10 @@ let claim_socket path =
     | _ ->
         Error (Printf.sprintf "refusing to remove %s: exists and is not a socket" path)
 
-let serve ~socket ?(backlog = 64) ?(drain_grace_s = 5.0) ?(install_signals = true)
+(* Pending connections the kernel queues before refusing new ones. *)
+let backlog = 64
+
+let serve ~socket ?(drain_grace_s = 5.0) ?(install_signals = true)
     ?(telemetry = T.default) ?(logger = Log.default) ?metrics_out ?(metrics_interval_s = 5.0)
     ?on_listen ~service:svc ~handler () =
   match claim_socket socket with

@@ -53,7 +53,6 @@ val claim_socket : string -> (unit, string) result
 
 val serve :
   socket:string ->
-  ?backlog:int ->
   ?drain_grace_s:float ->
   ?install_signals:bool ->
   ?telemetry:Pld_telemetry.Telemetry.t ->

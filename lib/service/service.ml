@@ -231,16 +231,10 @@ let rec watchdog_loop t =
 
 (* ---------- public API ---------- *)
 
-let create ?cache ?cache_dir ?max_bytes ?quarantine ?fp ?(queue_workers = 2) ?(workers = 22)
+let create ?cache_dir ?max_bytes ?quarantine ?fp ?(queue_workers = 2) ?(workers = 22)
     ?(jobs = 1) ?(pace = 0.0) ?(seed = 7) ?default_quota ?quotas ?shed ?watchdog_timeout_s ?faults
     ?(telemetry = T.default) ?(logger = Log.default) () =
-  let sv_cache =
-    match (cache, cache_dir) with
-    | Some _, Some _ -> invalid_arg "Service.create: pass ~cache or ~cache_dir, not both"
-    | Some c, None -> c
-    | None, Some dir -> Build.create_cache ~dir ?max_bytes ?quarantine ~telemetry ()
-    | None, None -> Build.create_cache ~telemetry ()
-  in
+  let sv_cache = Build.create_cache ?dir:cache_dir ?max_bytes ?quarantine ~telemetry () in
   let queue_workers = max 1 queue_workers in
   let t =
     {
@@ -271,7 +265,6 @@ let cache t = t.sv_cache
 (* Fabric profiles live in the shared artifact cache under the same
    key the build dedups on, so a cross-tenant or warm-cache hit finds
    the profile of whichever run actually produced the artifact. *)
-let profile_key g level = P.job_key g level
 let find_profile t g level = Build.find_profile t.sv_cache ~key:(P.job_key g level)
 let put_profile t g level doc = Build.put_profile t.sv_cache ~key:(P.job_key g level) doc
 

@@ -37,7 +37,6 @@ end
 type t
 
 val create :
-  ?cache:Build.cache ->
   ?cache_dir:string ->
   ?max_bytes:int ->
   ?quarantine:bool ->
@@ -57,11 +56,12 @@ val create :
   unit ->
   t
 (** Start the service: [queue_workers] (default 2) domains begin
-    pulling jobs immediately. [cache] shares an existing cache;
-    [cache_dir] opens a persistent one with LRU budget [max_bytes] and
-    corrupt-entry [quarantine] mode (passing both [cache] and
-    [cache_dir] raises [Invalid_argument]); with neither the service
-    is in-memory only. [fp] (default U50),
+    pulling jobs immediately. [cache_dir] opens a persistent cache with
+    LRU budget [max_bytes] and corrupt-entry [quarantine] mode (raising
+    {!Pld_engine.Store.Store_error} when the directory cannot be used);
+    without it the service is in-memory only. {!cache} reaches the
+    cache, for instance to scrub its store before serving. [fp]
+    (default U50),
     [workers]/[jobs]/[pace]/[seed] are the compile parameters every
     job runs with — a fixed seed is what makes equal graphs hit equal
     cache keys across tenants. [quotas] pre-registers per-tenant
@@ -203,15 +203,11 @@ val health_json : t -> Pld_telemetry.Json.t
 val cache : t -> Build.cache
 (** The shared cache (the full-write view). *)
 
-val profile_key : Pld_ir.Graph.t -> Build.level -> Pld_util.Digest_lite.t
-(** The key fabric profiles are stored under — identical to the job
-    key builds dedup on, so an artifact and its profile travel
-    together. *)
-
 val find_profile : t -> Pld_ir.Graph.t -> Build.level -> Pld_telemetry.Json.t option
 (** The persisted fabric-profile document for this (graph, level), if
     any run has produced one — including a run by another tenant whose
-    build this one dedup'd onto. *)
+    build this one dedup'd onto. Profiles are stored under the job key
+    builds dedup on, so an artifact and its profile travel together. *)
 
 val put_profile : t -> Pld_ir.Graph.t -> Build.level -> Pld_telemetry.Json.t -> unit
 (** Persist a fabric profile next to the build's artifacts. *)

@@ -63,7 +63,7 @@ let render e =
     (String.uppercase_ascii (level_name e.ev_level))
     e.ev_sub e.ev_msg (String.concat "" fields) trace
 
-type flight = { fl_telemetry : Telemetry.t; fl_file : string; fl_trip_on_error : bool }
+type flight = { fl_telemetry : Telemetry.t; fl_file : string }
 
 type t = {
   lock : Mutex.t;
@@ -100,9 +100,8 @@ let events t = locked t (fun () -> List.of_seq (Queue.to_seq t.ring))
 
 (* ---------- flight recorder ---------- *)
 
-let arm_flight t ?(trip_on_error = true) ~telemetry ~file () =
-  locked t (fun () ->
-      t.flight <- Some { fl_telemetry = telemetry; fl_file = file; fl_trip_on_error = trip_on_error })
+let arm_flight t ~telemetry ~file =
+  locked t (fun () -> t.flight <- Some { fl_telemetry = telemetry; fl_file = file })
 
 let disarm_flight t = locked t (fun () -> t.flight <- None)
 
@@ -153,7 +152,7 @@ let log t ?trace ?(fields = []) level ~sub msg =
     (match text_sink with Some f -> (try f (render e) with _ -> ()) | None -> ());
     (match json_sink with Some f -> (try f (Json.to_string (event_json e)) with _ -> ()) | None -> ());
     match flight with
-    | Some fl when level = Error && fl.fl_trip_on_error ->
+    | Some fl when level = Error ->
         write_flight t fl ~reason:(Printf.sprintf "error event: %s: %s" sub msg)
     | _ -> ()
   end

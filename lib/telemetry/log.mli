@@ -73,10 +73,10 @@ val events : t -> event list
 
 (** {2 Flight recorder} *)
 
-val arm_flight : t -> ?trip_on_error:bool -> telemetry:Telemetry.t -> file:string -> unit -> unit
-(** Arm the recorder: {!trip_flight} writes [file]; with
-    [trip_on_error] (default true) every [Error]-level event trips it
-    too, so a watchdog kill dumps without anyone remembering to. *)
+val arm_flight : t -> telemetry:Telemetry.t -> file:string -> unit
+(** Arm the recorder: {!trip_flight} writes [file], and so does every
+    [Error]-level event, so a watchdog kill dumps without anyone
+    remembering to. *)
 
 val disarm_flight : t -> unit
 

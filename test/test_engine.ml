@@ -295,6 +295,43 @@ let test_store_two_process_hammer () =
       (Store.find t ~kind:"page" ~key)
   done
 
+(* Handles in one process share the directory's lock: opening is not
+   a per-handle file descriptor, and two handles exclude each other the
+   way two processes do. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_store_opens_share_one_lock_fd () =
+  let dir = fresh_dir "fds" in
+  let before = open_fds () in
+  let handles = List.init 100 (fun _ -> Store.open_ ~dir ()) in
+  check_bool "100 opens add at most one fd" true (open_fds () - before <= 1);
+  check_int "all handles usable" 100 (List.length handles)
+
+(* The writers run in a forked child: a process that has spawned a
+   domain can no longer fork, and later tests do. *)
+let test_store_two_handles_in_one_process () =
+  let dir = fresh_dir "two-handles" in
+  let writer t tag () =
+    for i = 0 to 39 do
+      let key = Digest.of_string (Printf.sprintf "%s%d" tag i) in
+      Store.put t ~kind:"page" ~key (hammer_payload key)
+    done
+  in
+  (match Unix.fork () with
+  | 0 ->
+      (try
+         let a = Store.open_ ~dir () and b = Store.open_ ~dir () in
+         let d = Domain.spawn (writer a "a") in
+         writer b "b" ();
+         Domain.join d;
+         Unix._exit 0
+       with _ -> Unix._exit 1)
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, _ -> Alcotest.fail "writer child failed"));
+  check_int "no index update lost" 80 (Store.count (Store.open_ ~dir ()))
+
 (* ---------- store: crash recovery and scrub ---------- *)
 
 let rec rm_rf path =
@@ -726,24 +763,90 @@ let test_executor_parallel_determinism () =
   check_int "sum correct" 140 (List.assoc "sum" par.Executor.artifacts)
 
 let test_executor_failure_propagates () =
+  let run workers =
+    let g =
+      Jobgraph.make
+        [
+          const_node "ok" 1;
+          Jobgraph.node ~id:"bad" ~kind:"t" (fun _ -> failwith "boom");
+          Jobgraph.node ~id:"after" ~kind:"t" ~deps:[ "bad" ] (fun _ -> 3);
+        ]
+    in
+    let tele = Telemetry.create () in
+    (match Executor.run ~workers ~telemetry:tele g with
+    | _ -> Alcotest.fail "expected Failure"
+    | exception Failure m -> check_string "original exception" "boom" m);
+    check_bool
+      (Printf.sprintf "-j%d failure instant recorded" workers)
+      true
+      (List.exists
+         (fun (s : Telemetry.span) ->
+           s.Telemetry.name = "job-failed" && List.assoc_opt "job" s.Telemetry.attrs = Some "bad")
+         (Telemetry.spans tele));
+    check_int (Printf.sprintf "-j%d failure counted" workers) 1
+      (Telemetry.counter_value tele "engine.job_failures")
+  in
+  run 1;
+  run 4
+
+(* Under keep_going a failed job takes its dependents' dependents down
+   with it, and nothing else. *)
+let test_executor_quarantine_transitive () =
+  let run workers =
+    let g =
+      Jobgraph.make
+        [
+          const_node "ok" 1;
+          Jobgraph.node ~id:"bad" ~kind:"t" (fun _ -> failwith "boom");
+          Jobgraph.node ~id:"mid" ~kind:"t" ~deps:[ "bad"; "ok" ] (fun _ -> 2);
+          Jobgraph.node ~id:"leaf" ~kind:"t" ~deps:[ "mid" ] (fun _ -> 3);
+          Jobgraph.node ~id:"other" ~kind:"t" ~deps:[ "ok" ] (fun ctx -> ctx.Jobgraph.fetch "ok" + 4);
+        ]
+    in
+    let tele = Telemetry.create () in
+    let r = Executor.run ~workers ~keep_going:true ~telemetry:tele g in
+    let label = Printf.sprintf "-j%d %s" workers in
+    Alcotest.(check (list (pair string int))) (label "survivors") [ ("ok", 1); ("other", 5) ]
+      r.Executor.artifacts;
+    Alcotest.(check (list (pair string string)))
+      (label "casualties")
+      [
+        ("bad", "Failure(\"boom\")");
+        ("mid", "dependency bad quarantined");
+        ("leaf", "dependency mid quarantined");
+      ]
+      r.Executor.quarantined;
+    check_int (label "quarantine instants") 3 (Telemetry.counter_value tele "engine.quarantined")
+  in
+  run 1;
+  run 4
+
+(* One worker runs the graph in Jobgraph.order, not in the order jobs
+   become ready: "late" is ready first but comes after "child". *)
+let test_executor_j1_runs_in_order () =
   let g =
     Jobgraph.make
       [
-        const_node "ok" 1;
-        Jobgraph.node ~id:"bad" ~kind:"t" (fun _ -> failwith "boom");
-        Jobgraph.node ~id:"after" ~kind:"t" ~deps:[ "bad" ] (fun _ -> 3);
+        const_node "root" 1;
+        Jobgraph.node ~id:"child" ~kind:"t" ~deps:[ "root" ] (fun _ -> 2);
+        const_node "late" 3;
+        Jobgraph.node ~id:"grandchild" ~kind:"t" ~deps:[ "child" ] (fun _ -> 4);
       ]
   in
   let tele = Telemetry.create () in
-  (match Executor.run ~workers:4 ~telemetry:tele g with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m -> check_string "original exception" "boom" m);
-  check_bool "failure instant recorded" true
-    (List.exists
-       (fun (s : Telemetry.span) ->
-         s.Telemetry.name = "job-failed" && List.assoc_opt "job" s.Telemetry.attrs = Some "bad")
-       (Telemetry.spans tele));
-  check_int "failure counted" 1 (Telemetry.counter_value tele "engine.job_failures")
+  ignore (Executor.run ~workers:1 ~telemetry:tele g);
+  let started =
+    List.filter
+      (fun (s : Telemetry.span) ->
+        s.Telemetry.cat = "engine" && s.Telemetry.dur_us <> None && s.Telemetry.name <> "graph")
+      (Telemetry.spans tele)
+    |> List.stable_sort (fun (a : Telemetry.span) b -> compare a.Telemetry.start_us b.Telemetry.start_us)
+    |> List.map (fun (s : Telemetry.span) -> s.Telemetry.name)
+  in
+  Alcotest.(check (list string)) "job spans start in Jobgraph.order"
+    (List.map Jobgraph.id (Jobgraph.order g))
+    started;
+  Alcotest.(check (list string)) "that order" [ "root"; "child"; "late"; "grandchild" ] started
 
 let test_executor_deadline_stops_run () =
   (* The first job outlives the deadline: the run stops at that job's
@@ -915,6 +1018,7 @@ let test_event_phase_totals () =
 let test_lpt_known_values () =
   Alcotest.(check (float 1e-9)) "three workers" 3.0 (Makespan.lpt ~workers:3 [ 3.0; 2.0; 1.0 ]);
   Alcotest.(check (float 1e-9)) "serial" 6.0 (Makespan.lpt ~workers:1 [ 3.0; 2.0; 1.0 ]);
+  Alcotest.(check (float 1e-9)) "two workers" 3.0 (Makespan.lpt ~workers:2 [ 2.0; 2.0; 1.0; 1.0 ]);
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Makespan.lpt ~workers:4 []);
   match Makespan.lpt ~workers:0 [ 1.0 ] with
   | _ -> Alcotest.fail "expected Invalid_argument"
@@ -949,6 +1053,8 @@ let suite =
     ("store: LRU order survives reopen", `Quick, test_store_lru_survives_reopen);
     ("store: stats and telemetry counters", `Quick, test_store_stats_and_telemetry);
     ("store: two processes share one directory", `Slow, test_store_two_process_hammer);
+    ("store: 100 opens share one lock fd", `Quick, test_store_opens_share_one_lock_fd);
+    ("store: two handles in one process", `Quick, test_store_two_handles_in_one_process);
     (* The forked tests must precede every domain-spawning test in the
        whole binary: OCaml 5 forbids Unix.fork once any domain was
        ever created (see lib/service/chaos.mli, forked_names). *)
@@ -973,6 +1079,8 @@ let suite =
     ("executor: sequential run", `Quick, test_executor_sequential);
     ("executor: parallel = sequential", `Quick, test_executor_parallel_determinism);
     ("executor: failure propagates", `Quick, test_executor_failure_propagates);
+    ("executor: quarantine is transitive", `Quick, test_executor_quarantine_transitive);
+    ("executor: -j1 runs in Jobgraph.order", `Quick, test_executor_j1_runs_in_order);
     ("executor: deadline stops the run", `Quick, test_executor_deadline_stops_run);
     ("executor: paced jobs overlap", `Slow, test_executor_pace_overlaps);
     ("events: by_kind hits/misses", `Quick, test_event_by_kind);

@@ -284,11 +284,6 @@ let test_parallel_jobs_faster () =
   check_int "-j1 runs every job on one track" 1 (List.length (tracks 1));
   check_int "-j4 runs the jobs on four tracks" 4 (List.length (tracks 4))
 
-let test_makespan () =
-  Alcotest.(check (float 1e-9)) "parallel" 3.0 (Build.makespan ~workers:3 [ 3.0; 2.0; 1.0 ]);
-  Alcotest.(check (float 1e-9)) "serial" 6.0 (Build.makespan ~workers:1 [ 3.0; 2.0; 1.0 ]);
-  Alcotest.(check (float 1e-9)) "two workers" 3.0 (Build.makespan ~workers:2 [ 2.0; 2.0; 1.0; 1.0 ])
-
 let test_o1_parallel_faster_than_serial () =
   let app = Build.compile fp (pipeline 5) ~level:Build.O1 in
   let r = app.Build.report in
@@ -642,7 +637,6 @@ let suite =
     ("cache kinds cannot collide", `Quick, test_kind_partition_no_collision);
     ("executor: -j1 = -j4 artifacts", `Slow, test_executor_determinism);
     ("executor: -j4 beats -j1 (paced)", `Slow, test_parallel_jobs_faster);
-    ("makespan model", `Quick, test_makespan);
     ("parallel <= serial", `Quick, test_o1_parallel_faster_than_serial);
     ("all levels agree functionally", `Slow, test_all_levels_agree);
     ("-O0 orders slower", `Slow, test_o0_orders_slower);

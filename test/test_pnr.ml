@@ -259,29 +259,21 @@ let test_multi_seed_never_worse () =
     Pld_pnr.Pnr.implement_multi ~seeds ~device:fp.Floorplan.device ~region nl
   in
   check_bool "multi result legal" true (Pld_pnr.Pnr.routed_ok multi);
-  List.iter
-    (fun s ->
-      let r = Pld_pnr.Pnr.implement ~seed:s ~device:fp.Floorplan.device ~region nl in
+  let solos =
+    List.map (fun s -> Pld_pnr.Pnr.implement ~seed:s ~device:fp.Floorplan.device ~region nl) seeds
+  in
+  List.iter2
+    (fun s (r : Pld_pnr.Pnr.result) ->
       check_bool
         (Printf.sprintf "multi at least as fast as seed %d" s)
         true
         (multi.Pld_pnr.Pnr.timing.Pld_pnr.Sta.fmax_mhz
         >= r.Pld_pnr.Pnr.timing.Pld_pnr.Sta.fmax_mhz -. 1e-9))
-    seeds
-
-let test_run_multi_matches_single () =
-  let fp, region = page_region () in
-  let nl = small_netlist 12 4 in
-  let results = Pld_pnr.Place.run_multi ~seeds:[ 4; 9 ] ~device:fp.Floorplan.device ~region nl in
-  check_int "one result per seed" 2 (List.length results);
-  List.iter
-    (fun (s, (r : Pld_pnr.Place.result)) ->
-      let solo = Pld_pnr.Place.run ~seed:s ~device:fp.Floorplan.device ~region nl in
-      check_bool
-        (Printf.sprintf "seed %d matches solo run" s)
-        true
-        (r.Pld_pnr.Place.positions = solo.Pld_pnr.Place.positions))
-    results
+    seeds solos;
+  (* Racing on domains changes nothing a seed computes: the winner is
+     exactly one seed's solo run. *)
+  check_bool "winner's placement is one seed's solo placement" true
+    (List.exists (fun (r : Pld_pnr.Pnr.result) -> r.Pld_pnr.Pnr.placement = multi.Pld_pnr.Pnr.placement) solos)
 
 (* ---------- P&R output pinned across commits ---------- *)
 
@@ -409,6 +401,5 @@ let suite =
     ("delta P&R: empty diff is a no-op", `Quick, test_delta_empty_diff);
     ("delta P&R: one-cell edit stays on fast path", `Quick, test_delta_small_edit);
     ("multi-seed never times worse", `Slow, test_multi_seed_never_worse);
-    ("run_multi matches single runs", `Quick, test_run_multi_matches_single);
     ("P&R output pinned across commits", `Quick, test_pnr_output_pinned);
   ]

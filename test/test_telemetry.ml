@@ -425,7 +425,7 @@ let test_flight_recorder_dump () =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
     (fun () ->
-      Log.arm_flight lg ~telemetry:tele ~file ();
+      Log.arm_flight lg ~telemetry:tele ~file;
       Log.info lg ~sub:"service" "context line";
       (* An error-level event trips the dump without anyone calling
          trip_flight — the watchdog-kill path. *)
