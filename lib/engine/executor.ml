@@ -218,9 +218,9 @@ let schedule ~rec_ ~pace ~max_retries ~keep_going ~workers g =
     in
     loop ()
   in
-  let domains = List.init (max 1 (min workers n) - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  let helpers = List.init (max 1 (min workers n) - 1) (fun i -> Domain_pool.spawn (worker (i + 1))) in
   worker 0 ();
-  List.iter Domain.join domains;
+  List.iter Domain_pool.join helpers;
   Option.iter raise !failure;
   (results, quarantined)
 

@@ -21,6 +21,12 @@ type t = {
   out_edges : int list array;  (** edge indices by source node *)
 }
 
+val base_delay : float
+(** Delay of one wire hop inside an SLR, in ns. *)
+
+val slr_delay : float
+(** Delay of one hop across the SLR boundary, in ns. *)
+
 val node_of_tile : t -> int -> int -> node
 (** Raises [Invalid_argument] outside the region. *)
 

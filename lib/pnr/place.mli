@@ -28,6 +28,7 @@ val intrinsic_overfill : device:Device.t -> region:Floorplan.rect -> N.t -> floa
 val run :
   ?seed:int ->
   ?pins:(string * (int * int)) list ->
+  clock_target_mhz:float ->
   device:Device.t ->
   region:Floorplan.rect ->
   N.t ->
@@ -35,8 +36,19 @@ val run :
 (** [pins] fixes named cells (stream ports) at given tiles — the page
     leaf-interface location, or the shell/DMA edge for monolithic
     compiles. Each temperature tries [8 * cells^1.33] moves (at least
-    32). Raises [Invalid_argument] if the netlist exceeds region
-    capacity. To race several seeds, see [Pnr.implement_multi]. *)
+    32), for up to 90 temperatures. After each temperature the anneal
+    stops early in either of two cases:
+    - {e done}: the placement is legal (weighted overfill 0) and
+      {!Sta.analyze} meets [clock_target_mhz] on a pre-route estimate
+      that gives each net the Manhattan hops from its driver to its
+      farthest sink, at [Rrg.base_delay] per hop and [Rrg.slr_delay]
+      per SLR crossing, times a margin of 1.5;
+    - {e frozen}: fewer than 1% of that temperature's moves were
+      accepted.
+
+    The greedy cleanup and legalization run after either exit, as after
+    the full schedule. Raises [Invalid_argument] if the netlist exceeds
+    region capacity. To race several seeds, see [Pnr.implement_multi]. *)
 
 val refine :
   ?seed:int ->
@@ -55,7 +67,8 @@ val refine :
     fallback tier when the frozen pass cannot legalize around the
     edit); changed/added cells and
     cells on rewired nets anneal through a short low-temperature pass
-    sized to that movable subset. With an empty diff the previous
+    sized to that movable subset, with no early exit. With an empty
+    diff the previous
     placement is returned untouched. Raises [Invalid_argument] like
     {!run}; the caller must ensure the region is the one the previous
     placement targeted. *)

@@ -55,8 +55,8 @@ let finish ~t0 ~netlist ~region ~place ~route ~clock_target_mhz ~delta =
 
 let implement ?(seed = 1) ?(clock_target_mhz = 300.0) ?(pins = []) ~device ~region nl =
   let t0 = Unix.gettimeofday () in
-  let place = Place.run ~seed ~pins ~device ~region nl in
-  let route = Route.run ~seed ~device ~region ~placement:place.Place.positions nl in
+  let place = Place.run ~seed ~pins ~clock_target_mhz ~device ~region nl in
+  let route = Route.run ~device ~region ~placement:place.Place.positions nl in
   finish ~t0 ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta:None
 
 (* Edits larger than this fraction of the netlist go back to scratch:
@@ -140,7 +140,7 @@ let implement_delta ?(seed = 1) ?(clock_target_mhz = 300.0) ?(pins = [])
                 d.N.nets_kept
             in
             let route =
-              Route.run ~seed ~reuse:{ Route.prev = prev.route; keep } ~device ~region
+              Route.run ~reuse:{ Route.prev = prev.route; keep } ~device ~region
                 ~placement:place.Place.positions nl
             in
             if route.Route.overused_edges > 0 then scratch "route-congested"

@@ -94,8 +94,7 @@ let shortest s rrg cost src dst =
 (* PathFinder negotiation rounds before giving up with overuse left. *)
 let max_iterations = 14
 
-let run ?(seed = 1) ?reuse ~device ~region ~placement (nl : N.t) =
-  ignore seed;
+let run ?reuse ~device ~region ~placement (nl : N.t) =
   let t0 = Unix.gettimeofday () in
   (* Incremental runs reuse the previous RRG (same device/region — the
      caller's contract) instead of rebuilding it. *)

@@ -30,7 +30,6 @@ type reuse = {
 }
 
 val run :
-  ?seed:int ->
   ?reuse:reuse ->
   device:Device.t ->
   region:Floorplan.rect ->

@@ -5,6 +5,7 @@ module T = Pld_telemetry.Telemetry
 module Json = Pld_telemetry.Json
 module Log = Pld_telemetry.Log
 module Quantile = Pld_telemetry.Quantile
+module Pool = Pld_engine.Domain_pool
 module P = Policy
 include Policy.Terms
 
@@ -27,7 +28,8 @@ let outcome_json o =
 type ticket = P.job
 
 (* The shell: one lock and one condition around the policy core, the
-   worker and watchdog domains, and the builds themselves. Every
+   worker and watchdog tasks (on domains from [Pool], handed back at
+   shutdown), and the builds themselves. Every
    decision is the core's; the shell only feeds it inputs and renders
    what it reports. *)
 type t = {
@@ -45,8 +47,8 @@ type t = {
   pace : float;
   seed : int;
   faults : Pld_faults.Fault.t option;  (* hang= specs wedge builds by graph name *)
-  mutable pool : unit Domain.t list;
-  mutable wd_domain : unit Domain.t option;
+  mutable pool : unit Pool.task list;
+  mutable watchdog : unit Pool.task option;
 }
 
 (* How often the watchdog expires queued deadlines, looks for wedged
@@ -218,7 +220,7 @@ let rec watchdog_loop t =
   if not stop then begin
     List.iter
       (function
-        | P.Abandoned _ -> t.pool <- t.pool @ [ Domain.spawn (fun () -> worker_loop t) ]
+        | P.Abandoned _ -> t.pool <- t.pool @ [ Pool.spawn (fun () -> worker_loop t) ]
         | _ -> ())
       (step t P.Tick);
     Condition.broadcast t.cond
@@ -253,11 +255,11 @@ let create ?cache_dir ?max_bytes ?quarantine ?fp ?(queue_workers = 2) ?(workers 
       seed;
       faults;
       pool = [];
-      wd_domain = None;
+      watchdog = None;
     }
   in
-  t.pool <- List.init queue_workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t.wd_domain <- Some (Domain.spawn (fun () -> watchdog_loop t));
+  t.pool <- List.init queue_workers (fun _ -> Pool.spawn (fun () -> worker_loop t));
+  t.watchdog <- Some (Pool.spawn (fun () -> watchdog_loop t));
   t
 
 let cache t = t.sv_cache
@@ -548,12 +550,12 @@ let shutdown t =
   if t.core.P.stopping then Mutex.unlock t.mu
   else begin
     ignore (step t P.Shutdown);
-    let pool = t.pool and wd = t.wd_domain in
+    let pool = t.pool and wd = t.watchdog in
     t.pool <- [];
-    t.wd_domain <- None;
+    t.watchdog <- None;
     Mutex.unlock t.mu;
-    List.iter Domain.join pool;
-    Option.iter Domain.join wd
+    List.iter Pool.join pool;
+    Option.iter Pool.join wd
   end
 
 let drain ?(grace_s = 5.0) t =

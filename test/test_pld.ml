@@ -618,7 +618,7 @@ let test_build_trace_pinned () =
   in
   Alcotest.(check (list string)) "broken page fell back" [ "tensor_y" ] broken.Build.report.Build.fallbacks;
   let lines = build_trace_fingerprint tele in
-  Alcotest.(check string) "build telemetry digest" "2640b2b01cf2cca40d53f5d4a7b75018"
+  Alcotest.(check string) "build telemetry digest" "a99da52340127c84a4f0734276e96aa3"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 

@@ -72,7 +72,8 @@ let test_rrg_slr_edges_scarcer () =
 
 (* ---------- place & route & timing ---------- *)
 
-let small_netlist n_cells seed =
+(* [fillers] unconnected register cells ride along at the end. *)
+let small_netlist ?(fillers = 0) n_cells seed =
   let rng = Pld_util.Rng.create seed in
   let b = N.Builder.create "rand" in
   let port_in = N.Builder.add_cell b ~name:"pin" ~kind:(N.Stream_in "in") ~res:(N.res_luts 24) ~delay_ns:0.8 in
@@ -93,6 +94,9 @@ let small_netlist n_cells seed =
     let bdst = all.(Pld_util.Rng.int rng (Array.length all)) in
     if a <> bdst then ignore (N.Builder.add_net b ~name:(Printf.sprintf "r%d" k) ~driver:a ~sinks:[ bdst ])
   done;
+  for i = 0 to fillers - 1 do
+    ignore (N.Builder.add_cell b ~name:(Printf.sprintf "f%d" i) ~kind:N.Reg ~res:(N.res_luts 4) ~delay_ns:0.5)
+  done;
   N.Builder.finish b
 
 let page_region () =
@@ -102,7 +106,7 @@ let page_region () =
 let test_place_legalizes () =
   let fp, region = page_region () in
   let nl = small_netlist 20 3 in
-  let r = Pld_pnr.Place.run ~seed:2 ~device:fp.Floorplan.device ~region nl in
+  let r = Pld_pnr.Place.run ~seed:2 ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region nl in
   Alcotest.(check (float 0.0)) "no overfill" 0.0 r.Pld_pnr.Place.overfill;
   Array.iter
     (fun (x, y) ->
@@ -115,7 +119,7 @@ let test_place_respects_pins () =
   let nl = small_netlist 10 4 in
   let page = Floorplan.find_page fp 1 in
   let r =
-    Pld_pnr.Place.run ~seed:2 ~pins:[ ("in", page.Floorplan.noc_leaf); ("out", page.Floorplan.noc_leaf) ]
+    Pld_pnr.Place.run ~seed:2 ~clock_target_mhz:300.0 ~pins:[ ("in", page.Floorplan.noc_leaf); ("out", page.Floorplan.noc_leaf) ]
       ~device:fp.Floorplan.device ~region nl
   in
   (* Cell 0 is the input port. *)
@@ -128,14 +132,14 @@ let test_place_rejects_oversize () =
     ignore (N.Builder.add_cell b ~name:(Printf.sprintf "c%d" i) ~kind:N.Arith ~res:(N.res_luts 40) ~delay_ns:1.0)
   done;
   ignore (N.Builder.add_net b ~name:"n" ~driver:0 ~sinks:[ 1 ]);
-  match Pld_pnr.Place.run ~device:fp.Floorplan.device ~region (N.Builder.finish b) with
+  match Pld_pnr.Place.run ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region (N.Builder.finish b) with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 let test_route_legal_and_timed () =
   let fp, region = page_region () in
   let nl = small_netlist 20 7 in
-  let place = Pld_pnr.Place.run ~seed:2 ~device:fp.Floorplan.device ~region nl in
+  let place = Pld_pnr.Place.run ~seed:2 ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region nl in
   let route =
     Pld_pnr.Route.run ~device:fp.Floorplan.device ~region ~placement:place.Pld_pnr.Place.positions nl
   in
@@ -215,8 +219,8 @@ let test_netlist_diff () =
 let test_place_route_deterministic () =
   let fp, region = page_region () in
   let nl = small_netlist 18 6 in
-  let p1 = Pld_pnr.Place.run ~seed:5 ~device:fp.Floorplan.device ~region nl in
-  let p2 = Pld_pnr.Place.run ~seed:5 ~device:fp.Floorplan.device ~region nl in
+  let p1 = Pld_pnr.Place.run ~seed:5 ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region nl in
+  let p2 = Pld_pnr.Place.run ~seed:5 ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region nl in
   check_bool "same positions for same seed" true (p1.Pld_pnr.Place.positions = p2.Pld_pnr.Place.positions);
   let r1 = Pld_pnr.Route.run ~device:fp.Floorplan.device ~region ~placement:p1.Pld_pnr.Place.positions nl in
   let r2 = Pld_pnr.Route.run ~device:fp.Floorplan.device ~region ~placement:p2.Pld_pnr.Place.positions nl in
@@ -335,6 +339,29 @@ let pnr_digest ?place ?route () =
     route;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The anneal's two exits. Moving an unconnected filler cell never
+   changes the cost, so every temperature accepts well over 1% of its
+   moves and the frozen exit cannot fire. Cells of 1 ns cap Fmax at
+   1 GHz, so no placement meets a 1.5 GHz target: that anneal runs the
+   full schedule, the same placement, bit for bit, as recorded before
+   the exits existed. At 200 MHz the page is done after a few
+   temperatures, legal. *)
+let test_place_exits () =
+  let fp, region = page_region () in
+  let nl = small_netlist ~fillers:10 20 3 in
+  let place clock_target_mhz =
+    Pld_pnr.Place.run ~seed:2 ~clock_target_mhz ~device:fp.Floorplan.device ~region nl
+  in
+  let full = place 1500.0 and fast = place 200.0 in
+  Alcotest.(check string) "missed target: the full schedule" "49ea6f47799d55d33109fc73b45aee14"
+    (pnr_digest ~place:full ());
+  Alcotest.(check (float 0.0)) "met target: legal" 0.0 fast.Pld_pnr.Place.overfill;
+  check_bool
+    (Printf.sprintf "met target: under a quarter of the moves (%d of %d)"
+       fast.Pld_pnr.Place.moves_evaluated full.Pld_pnr.Place.moves_evaluated)
+    true
+    (4 * fast.Pld_pnr.Place.moves_evaluated < full.Pld_pnr.Place.moves_evaluated)
+
 (* Placements at a fixed seed are a contract across commits: a faster
    placer or router must reproduce these digests exactly. *)
 let test_pnr_output_pinned () =
@@ -343,7 +370,7 @@ let test_pnr_output_pinned () =
   let leaf = (Floorplan.find_page fp 1).Floorplan.noc_leaf in
   let pins = [ ("in", leaf); ("out", leaf) ] in
   let nl = pin_netlist () and nl2 = pin_netlist ~edited:true () in
-  let place = Pld_pnr.Place.run ~seed:3 ~pins ~device ~region nl in
+  let place = Pld_pnr.Place.run ~seed:3 ~clock_target_mhz:300.0 ~pins ~device ~region nl in
   let route = Pld_pnr.Route.run ~device ~region ~placement:place.Pld_pnr.Place.positions nl in
   let d = N.diff nl nl2 in
   let previous = place.Pld_pnr.Place.positions in
@@ -374,7 +401,7 @@ let prop_sta_fmax_bounded =
     (fun (n, seed) ->
       let fp, region = page_region () in
       let nl = small_netlist n seed in
-      let place = Pld_pnr.Place.run ~seed:1 ~device:fp.Floorplan.device ~region nl in
+      let place = Pld_pnr.Place.run ~seed:1 ~clock_target_mhz:300.0 ~device:fp.Floorplan.device ~region nl in
       let route = Pld_pnr.Route.run ~device:fp.Floorplan.device ~region ~placement:place.Pld_pnr.Place.positions nl in
       let sta = Pld_pnr.Sta.analyze nl ~net_delay_ns:route.Pld_pnr.Route.net_delay_ns in
       sta.Pld_pnr.Sta.fmax_mhz > 0.0 && sta.Pld_pnr.Sta.fmax_mhz <= 300.0)
@@ -402,4 +429,5 @@ let suite =
     ("delta P&R: one-cell edit stays on fast path", `Quick, test_delta_small_edit);
     ("multi-seed never times worse", `Slow, test_multi_seed_never_worse);
     ("P&R output pinned across commits", `Quick, test_pnr_output_pinned);
+    ("place: a missed clock target runs the full schedule", `Quick, test_place_exits);
   ]
