@@ -49,8 +49,12 @@ val implement :
   region:Floorplan.rect ->
   N.t ->
   result
-(** Raises [Invalid_argument] when the netlist cannot fit the region
-    (the caller decides whether to pick a bigger page). *)
+(** Places ({!Place.run}), routes, times and generates the bitstream.
+    [clock_target_mhz] (default 300) is both the placer's goal, whose
+    anneal stops once the placement is legal and its pre-route
+    estimate meets the target, and the cap {!Sta.analyze} puts on
+    Fmax. Raises [Invalid_argument] when the netlist cannot fit the
+    region (the caller decides whether to pick a bigger page). *)
 
 val implement_delta :
   ?seed:int ->
