@@ -6,7 +6,6 @@
      pldc compile optical -O1          compile and report
      pldc run optical -O1              compile, deploy, link, run, check
      pldc analyze trace.json           profile + critical path of a saved trace
-     pldc baseline save / check        record / enforce the exact baseline
      pldc service --sessions 1000      replay multi-tenant traffic in process
      pldc chaos --seed 7,11,23         crash-recovery scenarios *)
 
@@ -21,8 +20,6 @@ module Profile = Pld_insight.Profile
 module FP = Pld_core.Fabric_profile
 module Bottleneck = Pld_insight.Bottleneck
 module Critical_path = Pld_insight.Critical_path
-module Baseline = Pld_insight.Baseline
-module Sentinel = Pld_insight.Sentinel
 module Store = Pld_engine.Store
 open Pld_rosetta
 
@@ -739,104 +736,6 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ file_arg $ top_arg $ workers_arg $ tree_arg)
 
-(* ---------- baseline save / check ---------- *)
-
-let baseline_file_arg =
-  Arg.(
-    value
-    & opt string "baselines/rosetta.json"
-    & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline snapshot file.")
-
-let sentinel_opts_term =
-  let benches_arg =
-    Arg.(
-      value
-      & opt (list string) Sentinel.default_options.Sentinel.benches
-      & info [ "benches" ] ~docv:"NAMES" ~doc:"Comma-separated suite benchmarks to measure.")
-  in
-  let levels_arg =
-    Arg.(
-      value
-      & opt (list level_conv) Sentinel.default_options.Sentinel.levels
-      & info [ "levels" ] ~docv:"LEVELS" ~doc:"Comma-separated levels to measure.")
-  in
-  let no_perf_arg =
-    Arg.(
-      value & flag
-      & info [ "no-perf" ] ~doc:"Skip the functional run (Fmax / frame-cycle exact metrics).")
-  in
-  let no_service_arg =
-    Arg.(
-      value & flag
-      & info [ "no-service" ]
-          ~doc:"Skip the compile-service tier (Zipf traffic replay through Pld_service).")
-  in
-  let no_chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "no-chaos" ]
-          ~doc:
-            "Skip the chaos tier (deterministic failure-path scenarios: scrub quarantine, \
-             connection storm, overload shedding and deadlines).")
-  in
-  let no_incremental_arg =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Skip the incremental tier (one-operator edit recompiled through delta P&R per \
-             bench).")
-  in
-  let mk benches levels no_perf no_service no_chaos no_incremental =
-    {
-      Sentinel.benches;
-      levels;
-      run_perf = not no_perf;
-      run_service = not no_service;
-      run_chaos = not no_chaos;
-      run_incremental = not no_incremental;
-    }
-  in
-  Term.(
-    const mk $ benches_arg $ levels_arg $ no_perf_arg $ no_service_arg $ no_chaos_arg
-    $ no_incremental_arg)
-
-let baseline_save_cmd =
-  let doc = "Measure the suite and save the snapshot as the new baseline." in
-  let run file opts =
-    Printf.printf "measuring %s at %s...\n%!"
-      (String.concat "," opts.Sentinel.benches)
-      (String.concat "," (List.map B.level_name opts.Sentinel.levels));
-    let snap = Sentinel.measure opts in
-    (match Filename.dirname file with
-    | "" | "." -> ()
-    | dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-    Baseline.save ~file snap;
-    Printf.printf "saved baseline %s (%d entries)\n" file (List.length snap.Baseline.entries)
-  in
-  Cmd.v (Cmd.info "save" ~doc) Term.(const run $ baseline_file_arg $ sentinel_opts_term)
-
-let baseline_check_cmd =
-  let doc = "Measure the suite and fail (exit 1) if it regressed against the baseline." in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write machine-readable findings (REGRESSION.json).")
-  in
-  let run file opts out =
-    if not (Sys.file_exists file) then
-      die ~code:2 (Printf.sprintf "no baseline at %s (record one with `pldc baseline save`)" file);
-    let verdict = Sentinel.check ~base_file:file ?out (Sentinel.measure opts) in
-    print_string (Baseline.render_verdict verdict);
-    if not verdict.Baseline.ok then exit 1
-  in
-  Cmd.v (Cmd.info "check" ~doc) Term.(const run $ baseline_file_arg $ sentinel_opts_term $ out_arg)
-
-let baseline_cmd =
-  let doc = "Record or enforce a behaviour baseline (the exact regression sentinel)." in
-  Cmd.group (Cmd.info "baseline" ~doc) [ baseline_save_cmd; baseline_check_cmd ]
-
 (* ---------- property-based differential fuzzing ---------- *)
 
 let fuzz_cmd =
@@ -1078,7 +977,7 @@ let () =
       (Cmd.group info
          [
            list_cmd; floorplan_cmd; source_cmd; compile_cmd; run_cmd; profile_cmd; cache_cmd;
-           analyze_cmd; baseline_cmd; fuzz_cmd; status_cmd; top_cmd; metrics_cmd; health_cmd;
+           analyze_cmd; fuzz_cmd; status_cmd; top_cmd; metrics_cmd; health_cmd;
            service_cmd; chaos_cmd;
          ])
   in

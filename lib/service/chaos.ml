@@ -9,7 +9,7 @@
 
    Scenarios are deterministic given a seed wherever the OS allows:
    the in-process ones (overload, corrupt-store, conn-storm) produce
-   exact counter values the regression sentinel pins; the forked ones
+   exact counter values a tier-1 test pins; the forked ones
    (crash-writer, kill-daemon) have seeded timing but assert
    timing-independent invariants. *)
 
@@ -321,7 +321,7 @@ let scenario_conn_storm ~seed ~root _log =
 (* ---------- overload: flood, deadlines, watchdog, shedding ---------- *)
 
 (* Four small services, one per failure mode, sharing a telemetry sink
-   so the counters the sentinel pins accumulate in one place. Every
+   so the counters the tier-1 test pins accumulate in one place. Every
    sub-scenario is exact: the hang injector wedges a named graph for a
    known time, deadlines and budgets are chosen so outcomes cannot
    race. *)

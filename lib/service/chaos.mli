@@ -23,7 +23,7 @@
       expected counter values.
 
     The in-process scenarios ({!deterministic_names}) produce exact
-    counters given a seed — the regression sentinel pins them; the
+    counters given a seed — a tier-1 test pins them at seed 7; the
     forked ones have seeded timing but timing-independent invariants. *)
 
 type check = { ck_name : string; ck_ok : bool; ck_detail : string }

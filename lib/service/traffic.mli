@@ -1,5 +1,5 @@
 (** Synthetic multi-tenant traffic: the workload behind [pldc service]
-    and the service tier of the regression sentinel.
+    and the Zipf trace the tier-1 service tests pin.
 
     Sessions draw operator chains from a fixed pool with Zipf-
     distributed popularity — a few operators are requested constantly,

@@ -1,15 +1,13 @@
-(* The insight layer: span profiles, critical-path extraction and the
-   exact regression sentinel. Synthetic spans pin the math down
-   exactly; a real [Build.compile] against a private sink checks that
-   the model recovered from spans alone matches the build report, cold
-   and fully cached. *)
+(* The insight layer: span profiles and critical-path extraction, plus
+   the delta-P&R edit loop's pinned counters. Synthetic spans pin the
+   math down exactly; a real [Build.compile] against a private sink
+   checks that the model recovered from spans alone matches the build
+   report, cold and fully cached. *)
 
 module T = Pld_telemetry.Telemetry
 module Json = Pld_telemetry.Json
 module Profile = Pld_insight.Profile
 module Critical_path = Pld_insight.Critical_path
-module Baseline = Pld_insight.Baseline
-module Sentinel = Pld_insight.Sentinel
 module B = Pld_core.Build
 module Fp = Pld_fabric.Floorplan
 module Suite = Pld_rosetta.Suite
@@ -238,195 +236,43 @@ let test_critical_path_real_build () =
   check_float "cached modeled chain is zero" 0.0 r2.Critical_path.modeled_chain_s;
   check_bool "cached build has no modeled phases" true (r2.Critical_path.phase_totals = [])
 
-let snapshot entries =
-  {
-    Baseline.version = Baseline.current_version;
-    suite = "test";
-    created = "2026-01-01T00:00:00Z";
-    entries;
-  }
+(* The delta-P&R edit loop: compile each bench cold at -O3, touch its
+   first operator and recompile seeded with the previous build. The
+   delta path must serve the edit (no fallback reason) and keep and
+   reroute exactly the pinned cells and nets, so a placer or gate
+   change that knocks a bench back to scratch compiles fails here. The
+   saving is counted in annealing moves against a scratch compile of
+   the same edit, not timed. *)
+let incremental_pins = [ ("spam", 82, 0); ("optical", 274, 1) ]
 
-let entry ?(exact = []) bench level = { Baseline.bench; level; exact }
-
-let test_baseline_compare () =
-  check_bool "fmax is higher-is-better" true (Baseline.higher_is_better "fmax_mhz");
-  check_bool "wirelength is lower-is-better" false
-    (Baseline.higher_is_better "place_wirelength");
-  let base =
-    snapshot
-      [
-        entry "spam" "-O1"
-          ~exact:
-            [ ("cache_hits", 10.0); ("fmax_mhz", 300.0); ("place_wirelength", 171.0); ("gone", 1.0) ];
-        entry "spam" "-O3";
-      ]
-  in
-  let current =
-    snapshot
-      [
-        entry "spam" "-O1"
-          ~exact:
-            [ ("cache_hits", 10.0); ("fmax_mhz", 330.0); ("place_wirelength", 200.0); ("fresh", 2.0) ];
-        entry "optical" "-O3";
-      ]
-  in
-  let v = Baseline.compare_snapshots ~base current in
-  check_bool "longer wirelength fails the check" false v.Baseline.ok;
-  let status ?(level = "-O1") metric =
-    match
-      List.find_opt
-        (fun f -> f.Baseline.f_metric = metric && f.Baseline.f_level = level)
-        v.Baseline.findings
-    with
-    | Some f -> Baseline.status_name f.Baseline.f_status
-    | None -> "(absent)"
-  in
-  check_string "equal exact metric is ok" "ok" (status "cache_hits");
-  check_string "longer wirelength regresses" "REGRESSION" (status "place_wirelength");
-  check_string "higher fmax improves" "improvement" (status "fmax_mhz");
-  check_string "metric only in the baseline" "missing" (status "gone");
-  check_string "metric only in the current run" "new" (status "fresh");
-  check_string "entry only in the baseline" "missing" (status ~level:"-O3" "(entry)");
-  check_int "one regression" 1 (List.length v.Baseline.regressions);
-  check_int "one improvement" 1 (List.length v.Baseline.improvements);
-  check_bool "drift within 1e-6 relative is ok" true
-    (Baseline.compare_snapshots ~base
-       (snapshot
-          [
-            entry "spam" "-O1"
-              ~exact:
-                [
-                  ("cache_hits", 10.0);
-                  ("fmax_mhz", 300.0);
-                  ("place_wirelength", 171.0001);
-                  ("gone", 1.0);
-                ];
-            entry "spam" "-O3";
-          ]))
-      .Baseline.ok;
-  check_bool "verdict renders a summary line" true
-    (contains ~sub:"REGRESSION" (Baseline.render_verdict v));
-  match Json.member "ok" (Baseline.verdict_json v) with
-  | Some (Json.Bool false) -> ()
-  | _ -> Alcotest.fail "verdict_json ok field"
-
-let test_baseline_json_roundtrip () =
-  let snap =
-    snapshot [ entry "spam" "-O1" ~exact:[ ("cache_hits", 12.0); ("ms_per_input", 0.00711666666667) ] ]
-  in
-  let snap' = Baseline.of_json (Json.of_string (Json.to_string (Baseline.to_json snap))) in
-  check_bool "snapshot round-trips" true (snap = snap');
-  let file = Filename.temp_file "pld-baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Baseline.save ~file snap;
-      check_bool "save/load round-trips" true (Baseline.load ~file = snap));
-  let stale =
-    Json.of_string
-      (Json.to_string (Baseline.to_json { snap with Baseline.version = 999 }))
-  in
-  match Baseline.of_json stale with
-  | exception Failure msg ->
-      check_bool "version error says how to fix it" true
-        (contains ~sub:"re-save" msg)
-  | _ -> Alcotest.fail "expected a version failure"
-
-(* The whole sentinel loop in miniature: measure, save, check clean
-   (must pass), then plant a behaviour change in the saved baseline
-   (must fail, naming it). *)
-let test_sentinel_save_check_perturb () =
-  let opts =
-    {
-      Sentinel.benches = [ "optical" ];
-      levels = [ B.O1 ];
-      run_perf = false;
-      run_service = false;
-      run_chaos = false;
-      run_incremental = false;
-    }
-  in
-  let base = Sentinel.measure ~suite:"test" opts in
-  check_int "one entry" 1 (List.length base.Baseline.entries);
-  let e = List.hd base.Baseline.entries in
-  check_bool "exact metrics captured" true (List.mem_assoc "cache_hits" e.Baseline.exact);
-  check_bool "P&R counters captured" true (List.mem_assoc "place_wirelength" e.Baseline.exact);
-  let file = Filename.temp_file "pld-sentinel" ".json" in
-  let out = Filename.temp_file "pld-regression" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove file;
-      Sys.remove out)
-    (fun () ->
-      Baseline.save ~file base;
-      (* A fresh measurement of the same configuration must pass its
-         own baseline: every metric is deterministic. *)
-      let again = Sentinel.measure ~suite:"test" opts in
-      let clean = Sentinel.check ~base_file:file again in
-      check_bool "back-to-back run passes" true clean.Baseline.ok;
-      (* A baseline that records half the wirelength makes the same run
-         a regression, and the finding names bench, level and metric. *)
-      let halve (m, v) = (m, if m = "place_wirelength" then v *. 0.5 else v) in
-      Baseline.save ~file
-        {
-          base with
-          Baseline.entries =
-            List.map
-              (fun (e : Baseline.entry) ->
-                { e with Baseline.exact = List.map halve e.Baseline.exact })
-              base.Baseline.entries;
-        };
-      let v = Sentinel.check ~base_file:file ~out again in
-      check_bool "planted change fails" false v.Baseline.ok;
-      check_bool "the finding names bench, level and metric" true
-        (List.exists
-           (fun f ->
-             f.Baseline.f_bench = "optical" && f.Baseline.f_level = "-O1"
-             && f.Baseline.f_metric = "place_wirelength")
-           v.Baseline.regressions);
-      match Json.member "ok" (Json.read_file ~file:out) with
-      | Some (Json.Bool false) -> ()
-      | _ -> Alcotest.fail "REGRESSION.json records the failure")
-
-(* The incremental tier must actually take the delta path on a
-   one-operator edit and record the exact hit — otherwise the sentinel
-   would happily pin a baseline in which every edit recompiles from
-   scratch. The delta path's saving is counted in annealing moves
-   against a scratch compile of the same edit, not timed. *)
 let test_sentinel_incremental_tier () =
-  let opts =
-    {
-      Sentinel.benches = [ "spam" ];
-      levels = [];
-      run_perf = false;
-      run_service = false;
-      run_chaos = false;
-      run_incremental = true;
-    }
-  in
-  let snap = Sentinel.measure ~suite:"test" opts in
-  check_int "one incremental entry" 1 (List.length snap.Baseline.entries);
-  let e = List.hd snap.Baseline.entries in
-  check_bool "entry is the incremental tier" true (e.Baseline.level = "incremental");
-  check_bool "delta path served the edit" true
-    (List.assoc_opt "inc_delta_hits" e.Baseline.exact = Some 1.0);
-  check_bool "kept-cell count captured" true (List.mem_assoc "inc_cells_kept" e.Baseline.exact);
   let fp = Fp.u50 () in
-  let g = (Suite.find "spam").Suite.graph (Pld_ir.Graph.Hw { page_hint = None }) in
-  let victim = (List.hd g.Pld_ir.Graph.instances).Pld_ir.Graph.inst_name in
-  let edited = Option.get (Pld_ir.Graph.touch_op g victim) in
-  let moves app =
-    (B.monolithic_exn app).Pld_core.Flow.pnr3.Pld_pnr.Pnr.place.Pld_pnr.Place.moves_evaluated
-  in
-  let cache = B.create_cache () in
-  let previous = B.compile ~cache fp g ~level:B.O3 in
-  let delta = B.compile ~cache ~previous fp edited ~level:B.O3 in
-  let scratch = B.compile ~cache:(B.create_cache ()) fp edited ~level:B.O3 in
-  check_bool
-    (Printf.sprintf "delta at least 2x fewer moves than scratch (%d vs %d)" (moves delta)
-       (moves scratch))
-    true
-    (moves scratch >= 2 * moves delta)
+  let pnr app = (B.monolithic_exn app).Pld_core.Flow.pnr3 in
+  let moves app = (pnr app).Pld_pnr.Pnr.place.Pld_pnr.Place.moves_evaluated in
+  List.iter
+    (fun (name, kept, rerouted) ->
+      let what metric = name ^ " incremental " ^ metric in
+      let g = (Suite.find name).Suite.graph (Pld_ir.Graph.Hw { page_hint = None }) in
+      let victim = (List.hd g.Pld_ir.Graph.instances).Pld_ir.Graph.inst_name in
+      let edited = Option.get (Pld_ir.Graph.touch_op g victim) in
+      let cache = B.create_cache () in
+      let previous = B.compile ~cache fp g ~level:B.O3 in
+      let delta = B.compile ~cache ~previous fp edited ~level:B.O3 in
+      (match (pnr delta).Pld_pnr.Pnr.delta with
+      | None -> Alcotest.fail (what "inc_delta_hits: the edit took no delta path")
+      | Some d ->
+          Alcotest.(check (option string))
+            (what "inc_delta_hits (fallback reason)")
+            None d.Pld_pnr.Pnr.fallback;
+          check_int (what "inc_cells_kept") kept d.Pld_pnr.Pnr.cells_kept;
+          check_int (what "inc_nets_rerouted") rerouted d.Pld_pnr.Pnr.nets_rerouted);
+      let scratch = B.compile ~cache:(B.create_cache ()) fp edited ~level:B.O3 in
+      check_bool
+        (Printf.sprintf "%s: delta at least 2x fewer moves than scratch (%d vs %d)" name
+           (moves delta) (moves scratch))
+        true
+        (moves scratch >= 2 * moves delta))
+    incremental_pins
 
 let suite =
   [
@@ -439,8 +285,5 @@ let suite =
     Alcotest.test_case "critical path on a synthetic run" `Quick test_critical_path_synthetic;
     Alcotest.test_case "critical path vs makespan on a real build" `Quick
       test_critical_path_real_build;
-    Alcotest.test_case "baseline comparison statuses" `Quick test_baseline_compare;
-    Alcotest.test_case "baseline json round-trip" `Quick test_baseline_json_roundtrip;
-    Alcotest.test_case "sentinel save, check, perturb" `Quick test_sentinel_save_check_perturb;
     Alcotest.test_case "sentinel incremental tier" `Quick test_sentinel_incremental_tier;
   ]

@@ -64,7 +64,7 @@ let outputs_digest outputs =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* The full perf record and an MD5 of the channel stats of each
-   bench's -O0 and -O1 run. Floats are pinned to 17 significant
+   bench's -O0, -O1 and -O3 run. Floats are pinned to 17 significant
    digits, which read back as the same float; the NoC counters are
    (dropped, corrupted, retransmitted).
    Every level runs the same network and one perf model, so a change
@@ -75,7 +75,7 @@ type perf_pin = {
   fmax : string;
   ms : string;
   link : string;
-  noc : int * int * int;
+  noc : (int * int * int) option;  (** [None]: a monolithic -O3 run has no NoC replay *)
   stats_md5 : string;
 }
 
@@ -88,7 +88,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "4.711974333333333";
         link = "4.5000000000000006e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "967c73e69c1b03e8b9324a1b944cb768";
       } );
     ( "digit",
@@ -98,7 +98,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "3.9405613333333336";
         link = "5.5000000000000003e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "e70adef1a799ec3aa2ecaee2160c2744";
       } );
     ( "spam",
@@ -108,7 +108,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "0.74873666666666672";
         link = "6.9999999999999992e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "f9e83bc4ef237094dad10744383caf0e";
       } );
     ( "optical",
@@ -118,7 +118,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "8.0741163333333326";
         link = "6.0000000000000008e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "b689a4d935647aff74dc11a2488c644b";
       } );
     ( "face",
@@ -128,7 +128,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "1.9899033333333334";
         link = "6.9999999999999992e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "908bef48a643dddac0307798459d0312";
       } );
     ( "bnn",
@@ -138,7 +138,7 @@ let o0_perf_pins =
         fmax = "200";
         ms = "67.547491666666659";
         link = "5.0000000000000004e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "8960efdd4f250b202714d4306f5eb5be";
       } );
   ]
@@ -152,7 +152,7 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.0097293333333333329";
         link = "5.0000000000000004e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "967c73e69c1b03e8b9324a1b944cb768";
       } );
     ( "digit",
@@ -162,7 +162,7 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.016391333333333334";
         link = "6.0000000000000008e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "e84725f3f7a3483f7f01d096c72f6e4d";
       } );
     ( "spam",
@@ -172,7 +172,7 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.007116666666666667";
         link = "6.9999999999999992e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "2589dfb53bfb3865008d03d1b2fa9af9";
       } );
     ( "optical",
@@ -182,7 +182,7 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.018876333333333332";
         link = "6.5e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "b26b5a5c6eb4db375de8067228678ba5";
       } );
     ( "face",
@@ -192,7 +192,7 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.0093633333333333329";
         link = "6.9999999999999992e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
         stats_md5 = "042362c9616f79e2b1a22dc6e748e7f3";
       } );
     ( "bnn",
@@ -202,7 +202,71 @@ let o1_perf_pins =
         fmax = "200";
         ms = "0.0088166666666666671";
         link = "5.0000000000000004e-08";
-        noc = (0, 0, 0);
+        noc = Some (0, 0, 0);
+        stats_md5 = "d9e172dc1a143cbc3bc34562d2acfd3c";
+      } );
+  ]
+
+let o3_perf_pins =
+  [
+    ( "rendering",
+      {
+        frame = 1_724;
+        bottleneck = "rast_top";
+        fmax = "300";
+        ms = "0.0068559999999999992";
+        link = "0";
+        noc = None;
+        stats_md5 = "967c73e69c1b03e8b9324a1b944cb768";
+      } );
+    ( "digit",
+      {
+        frame = 3_074;
+        bottleneck = "knn_stage0";
+        fmax = "210.08403361344531";
+        ms = "0.015653573333333337";
+        link = "0";
+        noc = None;
+        stats_md5 = "e84725f3f7a3483f7f01d096c72f6e4d";
+      } );
+    ( "spam",
+      {
+        frame = 1_154;
+        bottleneck = "scatter";
+        fmax = "268.81720430107521";
+        ms = "0.0056395466666666685";
+        link = "0";
+        noc = None;
+        stats_md5 = "2589dfb53bfb3865008d03d1b2fa9af9";
+      } );
+    ( "optical",
+      {
+        frame = 3_507;
+        bottleneck = "tensor_x";
+        fmax = "217.39130434782601";
+        ms = "0.01747353333333334";
+        link = "0";
+        noc = None;
+        stats_md5 = "b26b5a5c6eb4db375de8067228678ba5";
+      } );
+    ( "face",
+      {
+        frame = 1_655;
+        bottleneck = "integral";
+        fmax = "217.39130434782601";
+        ms = "0.008701333333333337";
+        link = "0";
+        noc = None;
+        stats_md5 = "042362c9616f79e2b1a22dc6e748e7f3";
+      } );
+    ( "bnn",
+      {
+        frame = 1_546;
+        bottleneck = "bnn_fc2";
+        fmax = "273.22404371584696";
+        ms = "0.0067450266666666675";
+        link = "0";
+        noc = None;
         stats_md5 = "d9e172dc1a143cbc3bc34562d2acfd3c";
       } );
   ]
@@ -215,22 +279,102 @@ let stats_digest stats =
   in
   Digest.to_hex (Digest.string (String.concat "\n" (List.map line stats)))
 
-let check_perf_pin pin (r : Pld_core.Runner.result) =
+let exact = Printf.sprintf "%.17g"
+
+(* [what] names the bench and level in every failure message. *)
+let check_perf_pin ~what pin (r : Pld_core.Runner.result) =
   let module R = Pld_core.Runner in
-  let exact = Printf.sprintf "%.17g" in
   let p = r.R.perf in
-  check_int "frame cycles" pin.frame p.R.frame_cycles;
-  Alcotest.(check string) "bottleneck" pin.bottleneck p.R.bottleneck;
-  Alcotest.(check string) "fmax" pin.fmax (exact p.R.fmax_mhz);
-  Alcotest.(check string) "ms per input" pin.ms (exact p.R.ms_per_input);
-  Alcotest.(check string) "link seconds" pin.link (exact p.R.link_seconds);
-  (match r.R.noc with
-  | None -> Alcotest.fail "paged run without a NoC replay"
-  | Some n ->
-      Alcotest.(check (triple int int int))
-        "noc dropped/corrupted/retransmitted" pin.noc
-        Pld_noc.Traffic.(n.dropped, n.corrupted, n.retransmitted));
-  Alcotest.(check string) "channel stats digest" pin.stats_md5 (stats_digest r.R.channel_stats)
+  check_int (what ^ " frame_cycles") pin.frame p.R.frame_cycles;
+  Alcotest.(check string) (what ^ " bottleneck") pin.bottleneck p.R.bottleneck;
+  Alcotest.(check string) (what ^ " fmax_mhz") pin.fmax (exact p.R.fmax_mhz);
+  Alcotest.(check string) (what ^ " ms_per_input") pin.ms (exact p.R.ms_per_input);
+  Alcotest.(check string) (what ^ " link seconds") pin.link (exact p.R.link_seconds);
+  Alcotest.(check (option (triple int int int)))
+    (what ^ " noc dropped/corrupted/retransmitted")
+    pin.noc
+    (Option.map (fun n -> Pld_noc.Traffic.(n.dropped, n.corrupted, n.retransmitted)) r.R.noc);
+  Alcotest.(check string) (what ^ " channel stats digest") pin.stats_md5
+    (stats_digest r.R.channel_stats)
+
+(* Each bench's cold -O1 and -O3 build: the report's cache hits,
+   recompiled jobs and modeled tool overhead (17 digits), and the P&R
+   counters summed over every page or the one monolithic build. The
+   -O1 moves add up to the page pin's total below. *)
+type build_pin = {
+  hits : int;
+  recompiled : int;
+  overhead : string;
+  wirelength : int;
+  moves : int;
+  route_wire : int;
+}
+
+let o1_build_pins =
+  [
+    ( "rendering",
+      { hits = 0; recompiled = 4; overhead = "2.7999999999999998";
+        wirelength = 416; moves = 85_296; route_wire = 418 } );
+    ( "digit",
+      { hits = 0; recompiled = 7; overhead = "4.9000000000000004";
+        wirelength = 418; moves = 36_871; route_wire = 418 } );
+    ( "spam",
+      { hits = 0; recompiled = 6; overhead = "4.2000000000000002";
+        wirelength = 199; moves = 57_422; route_wire = 199 } );
+    ( "optical",
+      { hits = 0; recompiled = 7; overhead = "4.9000000000000004";
+        wirelength = 1_487; moves = 311_800; route_wire = 1_487 } );
+    ( "face",
+      { hits = 0; recompiled = 6; overhead = "4.2000000000000002";
+        wirelength = 1_679; moves = 271_443; route_wire = 1_861 } );
+    ( "bnn",
+      { hits = 0; recompiled = 5; overhead = "3.5";
+        wirelength = 988; moves = 264_286; route_wire = 988 } );
+  ]
+
+let o3_build_pins =
+  [
+    ( "rendering",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 1_347; moves = 360_450; route_wire = 1_367 } );
+    ( "digit",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 1_499; moves = 522_544; route_wire = 1_499 } );
+    ( "spam",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 580; moves = 241_488; route_wire = 580 } );
+    ( "optical",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 3_587; moves = 1_235_608; route_wire = 3_671 } );
+    ( "face",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 4_886; moves = 711_074; route_wire = 5_286 } );
+    ( "bnn",
+      { hits = 0; recompiled = 1; overhead = "4";
+        wirelength = 3_703; moves = 1_933_008; route_wire = 4_199 } );
+  ]
+
+let check_build_pin ~what pin (app : Pld_core.Build.app) =
+  let module B = Pld_core.Build in
+  let module Flow = Pld_core.Flow in
+  let report = app.B.report in
+  let pnrs =
+    List.filter_map
+      (function _, B.Hw_page o -> Some o.Flow.pnr | _, B.Soft_page _ -> None)
+      app.B.operators
+    @ Option.to_list (Option.map (fun m -> m.Flow.pnr3) app.B.monolithic)
+  in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 pnrs in
+  check_int (what ^ " cache_hits") pin.hits report.B.cache_hits;
+  check_int (what ^ " recompiled") pin.recompiled report.B.recompiled;
+  Alcotest.(check string) (what ^ " overhead_seconds") pin.overhead
+    (exact report.B.phases.Flow.overhead);
+  check_int (what ^ " place_wirelength") pin.wirelength
+    (sum (fun r -> r.Pld_pnr.Pnr.place.Pld_pnr.Place.wirelength));
+  check_int (what ^ " place_moves") pin.moves
+    (sum (fun r -> r.Pld_pnr.Pnr.place.Pld_pnr.Place.moves_evaluated));
+  check_int (what ^ " route_total_wire") pin.route_wire
+    (sum (fun r -> r.Pld_pnr.Pnr.route.Pld_pnr.Route.total_wire))
 
 let o0_case (b : Suite.bench) () =
   (* Same source, softcore execution: outputs must still validate, and
@@ -246,7 +390,7 @@ let o0_case (b : Suite.bench) () =
     "per-instance softcore cycles" cycles
     (List.sort compare r.Pld_core.Runner.softcore_cycles);
   Alcotest.(check string) "output digest" digest (outputs_digest r.Pld_core.Runner.outputs);
-  check_perf_pin (List.assoc b.Suite.name o0_perf_pins) r
+  check_perf_pin ~what:(b.Suite.name ^ " -O0") (List.assoc b.Suite.name o0_perf_pins) r
 
 let o1_case (b : Suite.bench) () =
   let fp = Pld_fabric.Floorplan.u50 () in
@@ -254,16 +398,19 @@ let o1_case (b : Suite.bench) () =
   let inputs = b.Suite.workload () in
   let app = Pld_core.Build.compile fp g ~level:Pld_core.Build.O1 in
   check_bool "every operator fits a page" true (List.length app.Pld_core.Build.assignment > 0);
+  let what = b.Suite.name ^ " -O1" in
+  check_build_pin ~what (List.assoc b.Suite.name o1_build_pins) app;
   let r = Pld_core.Runner.run app ~inputs in
   check_bool "page run validates" true (b.Suite.check ~inputs r.Pld_core.Runner.outputs);
-  check_perf_pin (List.assoc b.Suite.name o1_perf_pins) r
+  check_perf_pin ~what (List.assoc b.Suite.name o1_perf_pins) r
 
 (* The reference interpreter's outputs and summed counters for each
    bench, and the -O3 run's outputs (the same network, built at -O3).
    Recorded before the interpreter was compiled into closures: a
    change to how operators are evaluated must keep every figure. The
    counters are (ops, reads, writes, loop iterations, multiplies,
-   divides). *)
+   divides). The same test pins the -O3 build's report, its P&R sums
+   and the -O3 run's perf record. *)
 let reference_pins =
   [
     ("rendering", ("6faf998494d41a45804067a30dbca2e0", (31208, 408, 592, 3040, 833, 8)));
@@ -293,8 +440,11 @@ let reference_case (b : Suite.bench) () =
       ("divides", divs, fun c -> c.Interp.divides);
     ];
   let app = Pld_core.Build.compile (Pld_fabric.Floorplan.u50 ()) g ~level:Pld_core.Build.O3 in
+  let what = b.Suite.name ^ " -O3" in
+  check_build_pin ~what (List.assoc b.Suite.name o3_build_pins) app;
   let r3 = Pld_core.Runner.run app ~inputs in
-  Alcotest.(check string) "-O3 output digest" digest (outputs_digest r3.Pld_core.Runner.outputs)
+  Alcotest.(check string) "-O3 output digest" digest (outputs_digest r3.Pld_core.Runner.outputs);
+  check_perf_pin ~what (List.assoc b.Suite.name o3_perf_pins) r3
 
 (* Each bench's -O3 monolithic P&R at the default seed: every
    position, the wirelength, overfill and move count, and every route

@@ -963,6 +963,102 @@ let test_observable_record_pinned () =
     Alcotest.failf "service record digest %s, pinned %s" digest pinned_record_digest
   end
 
+(* ---------- pinned counts: Zipf traffic and the chaos scenarios ---------- *)
+
+(* A fixed 60-session Zipf trace (seed 11) through a one-worker service
+   on a fresh persistent store. One worker serializes the compiles, so
+   the conservation counts are exact: every distinct artifact is built
+   and written once however requests interleave. Dedup versus
+   after-the-fact cache hits depends on drain timing and is not
+   pinned. *)
+let test_traffic_counts_pinned () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pld-traffic-%d" (Unix.getpid ()))
+  in
+  let clean () = if Sys.file_exists dir then Test_engine.rm_rf dir in
+  clean ();
+  let service = Service.create ~cache_dir:dir ~queue_workers:1 () in
+  let opts =
+    {
+      Traffic.default_options with
+      Traffic.sessions = 60;
+      tenants = 4;
+      pool = 12;
+      max_chain = 3;
+      zipf = 1.1;
+      seed = 11;
+    }
+  in
+  let s =
+    Fun.protect
+      ~finally:(fun () ->
+        Service.shutdown service;
+        clean ())
+      (fun () -> Traffic.run ~service opts)
+  in
+  List.iter
+    (fun (metric, want, got) -> check_int ("service -O1 " ^ metric) want got)
+    [
+      ("svc_completed", 60, s.Traffic.sm_completed);
+      ("svc_failed", 0, s.Traffic.sm_failed);
+      ("svc_distinct_graphs", 48, s.Traffic.sm_distinct_graphs);
+      ("svc_recompiled", 26, s.Traffic.sm_recompiled);
+      ("svc_store_writes", 26, s.Traffic.sm_store_writes);
+    ]
+
+(* The in-process chaos scenarios at seed 7: every invariant check
+   holds and every failure-path counter (shed, deadlines, watchdog
+   kills, lost, quarantined, dropped connections, client retries) is
+   exact, so a change to the rejection taxonomy or the recovery
+   machinery fails here. None of them forks, so they may run after
+   domains exist. *)
+let chaos_pins =
+  [
+    ("corrupt-store.quarantined", 3);
+    ("corrupt-store.survivors", 3);
+    ("conn-storm.client_retries", 2);
+    ("conn-storm.conn_errors", 3);
+    ("overload.deadline_exceeded", 4);
+    ("overload.lost", 1);
+    ("overload.shed", 5);
+    ("overload.watchdog_kills", 1);
+  ]
+
+let test_chaos_counters_pinned () =
+  let module Chaos = Pld_service.Chaos in
+  (* The scenarios leave their scratch stores behind; keep them in a
+     directory of this test's own. *)
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pld-chaos-pin-%d" (Unix.getpid ()))
+  in
+  let clean () = if Sys.file_exists dir then Test_engine.rm_rf dir in
+  let report =
+    Fun.protect ~finally:clean (fun () ->
+        Chaos.run ~seed:7 ~dir ~only:Chaos.deterministic_names ())
+  in
+  let failed =
+    List.concat_map
+      (fun (sr : Chaos.scenario_report) ->
+        List.filter_map
+          (fun (c : Chaos.check) ->
+            if c.Chaos.ck_ok then None
+            else
+              Some
+                (Printf.sprintf "%s: %s (%s)" sr.Chaos.sr_name c.Chaos.ck_name
+                   c.Chaos.ck_detail))
+          sr.Chaos.sr_checks)
+      report.Chaos.r_scenarios
+  in
+  Alcotest.(check (list string)) "chaos seed7 failed checks" [] failed;
+  let counters = Chaos.counters report in
+  Alcotest.(check (list string)) "chaos seed7 counter names" (List.map fst chaos_pins)
+    (List.map fst counters);
+  List.iter
+    (fun (name, want) -> check_int ("chaos seed7 " ^ name) want (List.assoc name counters))
+    chaos_pins
+
 let suite =
   [
     ("session: compile, cache, link, run, close", `Quick, test_session_compile_link_run);
@@ -989,4 +1085,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 15 |])
       prop_core_invariants;
     ("service: lifecycles reuse pooled domains", `Slow, test_lifecycles_reuse_domains);
+    ("service: fixed Zipf trace counts pinned", `Slow, test_traffic_counts_pinned);
+    ("chaos: in-process scenarios pinned at seed 7", `Slow, test_chaos_counters_pinned);
   ]
